@@ -12,21 +12,18 @@ compound target).
 import pytest
 
 from repro.library import Library, LibraryElement
-from repro.mapping import clear_mapping_caches, decompose
+from repro.mapping import clear_shared_caches, decompose
 from repro.platform import OperationTally
 from repro.symalg import Polynomial, symbols
-from repro.symalg.gcdtools import clear_gcd_caches
-from repro.symalg.ideal import clear_ideal_caches
 
 x, y, z = symbols("x y z")
 
 
 def _go_cold() -> None:
-    """Drop every result-level cache so each measured run searches for
-    real (the warm-cache story belongs to bench_table2, not here)."""
-    clear_mapping_caches()
-    clear_ideal_caches()
-    clear_gcd_caches()
+    """Drop every process-wide memo so each measured run searches for
+    real (``decompose`` itself caches nothing; the warm-cache story
+    belongs to bench_table2, not here)."""
+    clear_shared_caches()
 
 
 def _library():

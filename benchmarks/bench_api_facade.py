@@ -1,22 +1,19 @@
-"""Session-facade overhead: `MappingSession.map` vs the legacy path.
+"""Session-facade overhead: the warm `MappingSession.map` path.
 
 The api redesign routes every frontend through `MappingSession`; this
 bench pins down what the facade costs on the warm path (LRU hit +
-typed-result construction + canonical rendering) relative to the
-deprecated module-level ``map_block`` it replaces, and re-asserts the
-redesign's core guarantee — byte parity between the session's
-``to_json()`` and the payload built from the legacy call.
+typed-result construction) and what canonical rendering adds, and
+re-asserts the redesign's core guarantee — a warm answer's
+``to_json()`` is byte-identical to a cold answer from a fresh session.
 
 Results land in ``BENCH_api_facade.json`` at the repo root.
 """
 
 import json
 import time
-import warnings
 from pathlib import Path
 
-from repro.api import MappingSession, MapResult, SessionConfig
-from repro.mapping import map_block
+from repro.api import MappingSession, SessionConfig
 
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_api_facade.json"
 
@@ -34,40 +31,23 @@ def test_facade_overhead_and_parity(report):
     session = MappingSession(SessionConfig())
     block = session.catalog.block("inv_mdctL")
     library = session.catalog.library(("REF", "LM", "IH"))
-    platform = session.catalog.platform("SA-1110")
 
-    # Warm both cache pools (session-private and the default tiers).
-    result = session.map(block, library)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        winner, matches = map_block(block, library, platform, tolerance=1e-6)
-
-    legacy_bytes = MapResult(
-        request=result.request, platform=platform,
-        winner=winner, matches=tuple(matches)).to_json()
-    assert legacy_bytes == result.to_json()   # the parity guarantee
+    result = session.map(block, library)      # warms the session LRU
+    fresh = MappingSession(SessionConfig(), blocks=session.blocks())
+    assert fresh.map(block, library).to_json() == result.to_json()
 
     session_us = _time_per_call(lambda: session.map(block, library)) * 1e6
-
-    def _legacy():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            map_block(block, library, platform, tolerance=1e-6)
-
-    legacy_us = _time_per_call(_legacy) * 1e6
     render_us = _time_per_call(result.to_json) * 1e6
 
     payload = {
         "rounds": _ROUNDS,
         "warm_session_map_us": round(session_us, 2),
-        "warm_legacy_map_block_us": round(legacy_us, 2),
         "render_to_json_us": round(render_us, 2),
         "byte_parity": True,
-        "note": "warm-path cost per call; session path includes typed "
-                "MapResult construction, legacy path includes the "
-                "DeprecationWarning machinery",
+        "note": "warm-path cost per call; the session path includes "
+                "typed MapResult construction; byte parity is warm vs a "
+                "fresh session's cold answer",
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
-    report(f"\napi facade warm map: session {session_us:.1f}us vs legacy "
-           f"{legacy_us:.1f}us; to_json {render_us:.1f}us "
-           f"(byte parity asserted) -> {OUTPUT.name}")
+    report(f"\napi facade warm map: session {session_us:.1f}us; to_json "
+           f"{render_us:.1f}us (byte parity asserted) -> {OUTPUT.name}")

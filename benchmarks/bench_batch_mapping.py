@@ -84,11 +84,15 @@ def run_scenario(workers: int) -> dict:
     """Execute the work set once in this process; return measurements."""
     from dataclasses import asdict
 
+    from repro.api import MappingSession
     from repro.mapping import run_batch
 
     items = work_items()
+    # A bare session reads REPRO_CACHE_DIR/REPRO_NO_CACHE, which is how
+    # the orchestrator selects the scenario's disk tier.
+    tiers = MappingSession().tiers
     start = time.perf_counter()
-    report = run_batch(items, workers=workers)
+    report = run_batch(items, workers=workers, tiers=tiers)
     elapsed = time.perf_counter() - start
     return {"seconds": elapsed, "items": len(items),
             **asdict(report.stats)}

@@ -19,9 +19,9 @@ throughput).
 
 import json
 import time
-import warnings
 from pathlib import Path
 
+from repro.api import MappingSession, SessionConfig
 from repro.codegen.fixedpt import element_formats, interpret
 from repro.codegen.lower import lower_match
 from repro.codegen.pysource import compile_kernel
@@ -36,15 +36,6 @@ OUTPUT = REPO_ROOT / "BENCH_codegen.json"
 #: Enough passes over the stimulus that per-call timer noise averages
 #: out; the IMDCT kernel is ~breaking even at 1 ms per pass.
 PASSES = 40
-
-
-def _winner(block, library, platform):
-    from repro.mapping import map_block
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        winner, _matches = map_block(block, library, platform)
-    return winner
 
 
 def _throughput(block, match):
@@ -81,12 +72,16 @@ def _throughput(block, match):
 def test_codegen_benchmark(report):
     library = full_library()
     platform = Badge4()
+    session = MappingSession(SessionConfig())
+
+    def _winner(block):
+        return session.map(block, library, platform).winner
 
     accuracy_rows = []
     for key in DEFAULT_WORKLOAD_REGISTRY.names():
         entry = get_workload(key)
         for name, block in entry.blocks().items():
-            winner = _winner(block, library, platform)
+            winner = _winner(block)
             if winner is None:
                 continue
             m = measure_match(
@@ -104,7 +99,7 @@ def test_codegen_benchmark(report):
             })
 
     imdct = get_workload("mp3").blocks()["inv_mdctL"]
-    throughput = _throughput(imdct, _winner(imdct, library, platform))
+    throughput = _throughput(imdct, _winner(imdct))
 
     payload = {
         "bench": "codegen",

@@ -42,9 +42,12 @@ def run_scenario(workers: int) -> dict:
     """Execute the sweep once in this process; return measurements."""
     from dataclasses import asdict
 
+    from repro.api import MappingSession
     from repro.mapping import MethodologyFlow
 
-    flow = MethodologyFlow(workers=workers)
+    # A bare session reads REPRO_CACHE_DIR/REPRO_NO_CACHE, which is how
+    # the orchestrator selects the scenario's disk tier.
+    flow = MethodologyFlow(workers=workers, tiers=MappingSession().tiers)
     start = time.perf_counter()
     report = flow.sweep()
     elapsed = time.perf_counter() - start

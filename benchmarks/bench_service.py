@@ -29,10 +29,7 @@ import time
 
 from _scenarios import REPO_ROOT
 
-from repro.mapping.cache import clear_all
 from repro.service import MappingService, ServiceClient, ServiceThread
-from repro.symalg.gcdtools import clear_gcd_caches
-from repro.symalg.ideal import clear_ideal_caches
 
 OUTPUT = REPO_ROOT / "BENCH_service.json"
 
@@ -41,12 +38,6 @@ WARM_ROUNDS = 60
 THROUGHPUT_THREADS = 4
 THROUGHPUT_REQUESTS = 40            # per thread
 COALESCED_REQUESTS = 8
-
-
-def _freeze_caches_cold():
-    clear_all()
-    clear_ideal_caches()
-    clear_gcd_caches()
 
 
 def _timed_map(client) -> "tuple[float, int, bytes]":
@@ -62,7 +53,7 @@ def test_service_benchmark(report):
         client.wait_healthy()
 
         # -- cold ------------------------------------------------------
-        _freeze_caches_cold()
+        service.session.clear_caches()
         cold_s, status, cold_body = _timed_map(client)
         assert status == 200, cold_body
 
@@ -95,7 +86,7 @@ def test_service_benchmark(report):
         total_requests = THROUGHPUT_THREADS * THROUGHPUT_REQUESTS
 
         # -- coalesced -------------------------------------------------
-        _freeze_caches_cold()
+        service.session.clear_caches()
         flight_before = dict(service.flight.stats())
         replies: list = [None] * COALESCED_REQUESTS
 
@@ -119,7 +110,7 @@ def test_service_benchmark(report):
         started = flight_after["started"] - flight_before["started"]
 
         # -- sweep -----------------------------------------------------
-        _freeze_caches_cold()
+        service.session.clear_caches()
         start = time.perf_counter()
         status, sweep_body = client.request_bytes("POST", "/v1/sweep", {})
         sweep_cold_s = time.perf_counter() - start

@@ -24,16 +24,15 @@ import time
 from pathlib import Path
 
 from repro.library.builtin import full_library
-from repro.mapping import MethodologyFlow, clear_mapping_caches
-from repro.mapping.cache import DEFAULT_TIERS
+from repro.mapping import CacheTiers, MethodologyFlow, clear_shared_caches
 from repro.workload import DEFAULT_WORKLOAD_REGISTRY, get_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_workloads.json"
 
 
-def _sweep_once(key: str, blocks: dict, library):
-    flow = MethodologyFlow(blocks=blocks, workload=key)
+def _sweep_once(key: str, blocks: dict, library, tiers: CacheTiers):
+    flow = MethodologyFlow(blocks=blocks, workload=key, tiers=tiers)
     start = time.perf_counter()
     sweep = flow.sweep(platforms=["SA-1110"], libraries=[library])
     return time.perf_counter() - start, sweep
@@ -44,15 +43,15 @@ def test_per_workload_sweep_benchmark(report):
     rows = []
     for key in DEFAULT_WORKLOAD_REGISTRY.names():
         entry = get_workload(key)
-        clear_mapping_caches()
-        DEFAULT_TIERS.clear()
+        clear_shared_caches()
+        tiers = CacheTiers()     # shared by the cold and the warm sweep
 
         start = time.perf_counter()
         blocks = entry.blocks()
         extract_s = time.perf_counter() - start
 
-        cold_s, cold = _sweep_once(key, blocks, library)
-        warm_s, warm = _sweep_once(key, blocks, library)
+        cold_s, cold = _sweep_once(key, blocks, library, tiers)
+        warm_s, warm = _sweep_once(key, blocks, library, tiers)
 
         cold_json = cold.to_json()
         assert cold.workload == key

@@ -3,22 +3,23 @@
 Environment knobs (so cold numbers are reproducible without editing
 code):
 
-* ``REPRO_NO_CACHE=1`` — disable the persistent disk tier *and* clear
-  every in-process cache (mapping LRUs, Groebner bases, GCDs) before
-  each benchmark test: every measurement starts truly cold.
-* ``REPRO_CACHE_DIR=<dir>`` — point the persistent tier at ``<dir>``
-  to measure warm-process behaviour instead.
+* ``REPRO_NO_CACHE=1`` — disable the persistent disk tier of every
+  environment-built session *and* clear every process-wide memo
+  (shared mapping caches, Groebner bases, GCDs) before each benchmark
+  test: every measurement starts truly cold.  Mapping LRUs belong to
+  the sessions each benchmark builds, so they start cold anyway.
+* ``REPRO_CACHE_DIR=<dir>`` — point environment-built sessions'
+  persistent tier at ``<dir>`` to measure warm-process behaviour
+  instead.
 """
 
 import os
 
 import pytest
 
-from repro.mapping.cache import DEFAULT_TIERS, clear_mapping_caches
+from repro.mapping import clear_shared_caches
 from repro.mp3 import make_stream
 from repro.platform import Badge4
-from repro.symalg.gcdtools import clear_gcd_caches
-from repro.symalg.ideal import clear_ideal_caches
 
 
 @pytest.fixture(scope="session")
@@ -34,12 +35,10 @@ def stream():
 
 @pytest.fixture(autouse=True)
 def _cold_run_knob():
-    """Honor REPRO_NO_CACHE: reset every cache tier before each test."""
+    """Honor REPRO_NO_CACHE: reset every process-wide memo before each
+    test."""
     if os.environ.get("REPRO_NO_CACHE"):
-        clear_mapping_caches()
-        DEFAULT_TIERS.clear()
-        clear_ideal_caches()
-        clear_gcd_caches()
+        clear_shared_caches()
     yield
 
 

@@ -16,23 +16,20 @@ This example shows both ends inside the same framework:
 
 Run:  python examples/mac_decomposition.py
 
-``REPRO_NO_CACHE=1`` forces a cold run (no disk tier, cleared caches);
-``REPRO_CACHE_DIR=<dir>`` re-runs warm from the persistent tier.
+The searches run on a bare ``MappingSession()``: ``REPRO_NO_CACHE=1``
+forces a cold run (no disk tier); ``REPRO_CACHE_DIR=<dir>`` re-runs
+warm from the persistent tier.
 """
 
-import os
-
+from repro.api import MappingSession
 from repro.library import Library, full_library
-from repro.mapping import decompose, residual_cost, rewrite
-from repro.mapping.cache import DEFAULT_TIERS, clear_mapping_caches
+from repro.mapping import residual_cost, rewrite
 from repro.platform import Badge4
 from repro.symalg import Polynomial, taylor
 
 
 def main() -> None:
-    if os.environ.get("REPRO_NO_CACHE"):
-        clear_mapping_caches()
-        DEFAULT_TIERS.clear()
+    session = MappingSession()
     platform = Badge4()
     x = Polynomial.variable("x")
     target = taylor("exp", 4).substitute({"_arg": x})
@@ -44,7 +41,7 @@ def main() -> None:
 
     print("--- MAC-only library (the DATE'02 setting) ---")
     mac_only = Library("mac-only", [everything.get("mac")])
-    result = decompose(target, mac_only, platform, max_depth=4)
+    result = session.decompose(target, mac_only, platform, max_depth=4)
     print(rewrite(result.best, "exp_via_macs").source)
     if result.mapped:
         print(f"elements used: {result.best.element_names()}")
@@ -58,8 +55,8 @@ def main() -> None:
     print(f"total cost: {result.best.total_cycles:,.0f} cycles\n")
 
     print("--- full library (this paper's setting) ---")
-    result = decompose(target, everything, platform,
-                       accuracy_budget=5e-2)
+    result = session.decompose(target, everything, platform,
+                               accuracy_budget=5e-2)
     print(rewrite(result.best, "exp_via_library").source)
     print(f"elements used: {result.best.element_names()}")
     print(f"total cost: {result.best.total_cycles:,.0f} cycles")

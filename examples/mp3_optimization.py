@@ -8,34 +8,28 @@ trajectory), with the compliance level verified at each step.
 
 Run:  python examples/mp3_optimization.py  [n_frames]
 
-Environment knobs (reproducible numbers without editing code):
-``REPRO_NO_CACHE=1`` forces a cold run (clears every cache tier and
-disables persistence); ``REPRO_CACHE_DIR=<dir>`` warms/uses the
-persistent disk tier; ``REPRO_WORKERS=<n>`` maps each pass's blocks
-through the parallel batch engine.
+Environment knobs (reproducible numbers without editing code), read by
+the bare ``MappingSession()`` the flow runs on:
+``REPRO_NO_CACHE=1`` forces a cold run (disables persistence);
+``REPRO_CACHE_DIR=<dir>`` warms/uses the persistent disk tier;
+``REPRO_WORKERS=<n>`` maps each pass's blocks through the parallel
+batch engine.
 """
 
-import os
 import sys
 
-from repro.mapping import MethodologyFlow
-from repro.mapping.cache import DEFAULT_TIERS, clear_mapping_caches
+from repro.api import MappingSession
 from repro.mp3 import make_stream
 
 
 def main() -> None:
-    if os.environ.get("REPRO_NO_CACHE"):
-        clear_mapping_caches()
-        DEFAULT_TIERS.clear()
-    workers = int(os.environ.get("REPRO_WORKERS", "0")) or None
     n_frames = int(sys.argv[1]) if len(sys.argv) > 1 else 4
     stream = make_stream(n_frames=n_frames, seed=2002)
     print(f"synthetic stream: {n_frames} frames, "
           f"{stream.duration_seconds:.2f} s of audio, "
           f"{len(stream.data)} bytes\n")
 
-    flow = MethodologyFlow(workers=workers)
-    report = flow.run_passes(stream)
+    report = MappingSession().flow().run_passes(stream)
 
     for pass_result in report.passes:
         title = f"Profile after {pass_result.name}"

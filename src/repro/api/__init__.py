@@ -21,7 +21,7 @@ True
 
 from repro.api.catalog import ResourceCatalog
 from repro.api.config import SessionConfig
-from repro.api.session import MappingSession, default_session
+from repro.api.session import MappingSession
 from repro.api.types import (
     DEFAULT_LIBRARY,
     DEFAULT_PLATFORM,
@@ -41,7 +41,6 @@ from repro.mapping.flow import SweepReport
 __all__ = [
     "MappingSession",
     "SessionConfig",
-    "default_session",
     "MapRequest",
     "MapResult",
     "ParetoResult",

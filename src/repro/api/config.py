@@ -1,18 +1,16 @@
 """Typed, immutable session configuration.
 
-One frozen dataclass replaces the configuration triangle the first
-four PRs grew — ``configure()`` module globals, ``REPRO_*`` environment
-variables, and per-call keyword arguments — with a single precedence
-rule, applied once, at construction:
+One frozen dataclass holds every cross-cutting setting, with a single
+precedence rule applied once, at construction:
 
     explicit ``SessionConfig`` field  >  environment  >  built-in default
 
 ``SessionConfig(...)`` is fully explicit: the environment is ignored.
 ``SessionConfig.from_env(...)`` reads the environment first and lets
 keyword overrides win; it is what :class:`~repro.api.MappingSession`
-builds when no config is passed, so a bare session behaves exactly
-like the legacy module-level entry points.  The full precedence table
-lives in ``docs/architecture.md`` ("Public API & sessions").
+builds when no config is passed, and the only code that reads the
+``REPRO_*`` variables.  The full precedence table lives in
+``docs/architecture.md`` ("Public API & sessions").
 
 Recognized environment variables:
 
@@ -52,7 +50,7 @@ class SessionConfig:
 
     ``cache_dir``/``disk_cache`` govern the persistent tier;
     ``decompose_lru``/``map_block_lru`` size the session's in-memory
-    caches; ``workers``/``executor`` configure batch fan-out
+    caches; ``workers``/``executor`` set batch fan-out
     (``executor`` wins when both are set — see
     :func:`~repro.mapping.batch.run_batch`); ``registry`` is the
     platform catalog requests resolve against and ``workloads`` the
@@ -100,8 +98,11 @@ class SessionConfig:
 
         ``environ`` defaults to ``os.environ`` (injectable for tests).
         ``REPRO_NO_CACHE`` beats ``REPRO_CACHE_DIR`` within the
-        environment layer, mirroring the legacy resolution order; an
-        explicit ``disk_cache=True`` override beats both.
+        environment layer; an explicit ``disk_cache=True`` override
+        beats both.  An override replaces its field even when its value
+        is ``None`` — ``from_env(cache_dir=None)`` disables the
+        environment's directory — so callers pass ``cache_dir`` only
+        when one was given.
         """
         env = os.environ if environ is None else environ
         values: dict = {}

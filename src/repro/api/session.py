@@ -27,19 +27,18 @@ from repro.api.types import MapRequest, MapResult, ParetoResult, VerifyResult
 from repro.frontend.extract import TargetBlock
 from repro.library.catalog import Library
 from repro.mapping.batch import BatchItem, BatchReport, run_batch
-from repro.mapping.cache import DEFAULT_TIERS, CacheTiers, clear_shared_caches
-from repro.mapping.cache import shared_cache_stats as _shared_cache_stats
+from repro.mapping.cache import CacheTiers, clear_shared_caches, shared_cache_stats
 from repro.mapping.decompose import (
     DecomposeResult,
     _decompose_cached,
     _map_block_cached,
-    _map_block_pareto_cached,
 )
 from repro.mapping.flow import MethodologyFlow, SweepReport
+from repro.mapping.pareto import BlockParetoResult
 from repro.platform.badge4 import Badge4
 from repro.symalg.polynomial import Polynomial
 
-__all__ = ["MappingSession", "default_session"]
+__all__ = ["MappingSession"]
 
 
 class MappingSession:
@@ -49,18 +48,16 @@ class MappingSession:
     ----------
     config:
         The session's :class:`~repro.api.SessionConfig`.  ``None``
-        resolves from the environment
-        (:meth:`SessionConfig.from_env`), which makes a bare
-        ``MappingSession()`` behave like the legacy module-level entry
-        points.
+        resolves from the environment (:meth:`SessionConfig.from_env`),
+        so a bare ``MappingSession()`` honors ``REPRO_CACHE_DIR`` /
+        ``REPRO_NO_CACHE`` / ``REPRO_WORKERS``.
     blocks:
         Optional pre-extracted target blocks for the catalog (tests
-        and embedders inject cheap blocks; the service injects its
-        shared catalog so extraction happens once per process).
-    tiers:
-        Optional pre-built cache tiers.  :func:`default_session` binds
-        the process-wide default tiers here; ordinary sessions build
-        private tiers from the config, which is what isolates them.
+        and embedders inject cheap blocks).
+
+    The session builds and owns one
+    :class:`~repro.mapping.cache.CacheTiers` from its config; that
+    private ownership is what isolates two sessions in one process.
 
     Resource arguments throughout accept *names or live objects*: a
     block is a catalog name or a ``TargetBlock``; a library is a tag
@@ -75,17 +72,13 @@ class MappingSession:
         config: "SessionConfig | None" = None,
         *,
         blocks: "Mapping[str, TargetBlock] | None" = None,
-        tiers: "CacheTiers | None" = None,
     ):
         self.config = config if config is not None else SessionConfig.from_env()
-        if tiers is not None:
-            self.tiers = tiers
-        else:
-            self.tiers = CacheTiers(
-                cache_dir=self.config.effective_cache_dir,
-                decompose_lru=self.config.decompose_lru,
-                map_block_lru=self.config.map_block_lru,
-            )
+        self.tiers = CacheTiers(
+            cache_dir=self.config.effective_cache_dir,
+            decompose_lru=self.config.decompose_lru,
+            map_block_lru=self.config.map_block_lru,
+        )
         self.catalog = ResourceCatalog(
             blocks=blocks,
             registry=self.config.registry,
@@ -144,8 +137,8 @@ class MappingSession:
     ) -> MapResult:
         """Scalar block mapping: the cheapest adequate complex element.
 
-        The session form of the paper's ``map_block`` — same search,
-        same cache keys, session-owned tiers — returning a typed
+        The paper's one-step block match against session-owned
+        tiers, returning a typed
         :class:`~repro.api.MapResult` whose ``to_json()`` is the
         service's ``/v1/map`` wire format.  ``workload`` selects the
         registry entry the block name resolves in (default: the
@@ -212,20 +205,17 @@ class MappingSession:
             accuracy_budget=accuracy_budget,
             workload=workload_key,
         )
-        stimulus = None
+        _winner, matches = _map_block_cached(
+            block_obj, library_obj, platform_obj, tolerance, accuracy_budget, self.tiers
+        )
+        measure_fn = None
         if measure:
-            from repro.codegen.verify import stimulus_for_block
+            from repro.codegen.verify import match_measurer, stimulus_for_block
 
             stimulus = stimulus_for_block(block_obj, workload_key)
-        result = _map_block_pareto_cached(
-            block_obj,
-            library_obj,
-            platform_obj,
-            tolerance,
-            accuracy_budget,
-            self.tiers,
-            measure=measure,
-            stimulus=stimulus,
+            measure_fn = match_measurer(block_obj, stimulus=stimulus)
+        result = BlockParetoResult.from_matches(
+            block_obj.name, platform_obj, matches, measure=measure_fn
         )
         return ParetoResult(request=request, result=result)
 
@@ -297,7 +287,8 @@ class MappingSession:
         """The scalar Decompose search (Table 2), session-cached.
 
         Knob defaults mirror :func:`repro.mapping.decompose.decompose`
-        exactly, so session and module-level calls share cache lines.
+        exactly, so session calls and ``BatchItem.for_target`` batch
+        submissions share cache lines.
         """
         _tags, library_obj = self._resolve_library(library)
         _label, platform_obj = self._resolve_platform(platform)
@@ -474,18 +465,15 @@ class MappingSession:
         (instantiations, manipulations, hints) every session shares.
         """
         stats = self.tiers.stats()
-        stats["shared"] = _shared_cache_stats()
+        stats["shared"] = shared_cache_stats()
         return stats
 
-    def clear_caches(self, *, shared: bool = True) -> None:
-        """Empty this session's tiers (memory + its disk stores).
-
-        ``shared=True`` (default) also clears the process-wide
-        pure-function caches; other sessions' tiers are never touched.
-        """
+    def clear_caches(self) -> None:
+        """Empty this session's tiers (memory + its disk store) and the
+        process-wide memo caches; other sessions' tiers are never
+        touched."""
         self.tiers.clear()
-        if shared:
-            clear_shared_caches()
+        clear_shared_caches()
 
     def platforms(self) -> list[str]:
         """Registry keys this session resolves platforms against."""
@@ -524,24 +512,3 @@ class MappingSession:
     def __repr__(self) -> str:
         disk = self.config.effective_cache_dir
         return f"MappingSession(platform={self.config.platform!r}, disk={disk!r})"
-
-
-_DEFAULT_SESSION: "MappingSession | None" = None
-_DEFAULT_SESSION_LOCK = threading.Lock()
-
-
-def default_session() -> MappingSession:
-    """The process-wide session bound to the legacy default tiers.
-
-    Every deprecated module-level entry point and this session resolve
-    against the same :data:`~repro.mapping.cache.DEFAULT_TIERS`, so
-    mixing old and new call styles keeps one coherent cache pool.
-    Built lazily, once, from the environment.
-    """
-    global _DEFAULT_SESSION
-    with _DEFAULT_SESSION_LOCK:
-        if _DEFAULT_SESSION is None:
-            _DEFAULT_SESSION = MappingSession(
-                SessionConfig.from_env(), tiers=DEFAULT_TIERS
-            )
-        return _DEFAULT_SESSION

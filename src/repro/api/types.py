@@ -5,7 +5,7 @@ these dataclasses, not the other way around: ``MapResult.to_json()``
 is byte-for-byte the ``/v1/map`` response body, ``ParetoResult`` the
 ``/v1/pareto`` body, and a sweep's canonical form remains
 :meth:`~repro.mapping.flow.SweepReport.to_json`.  The CLI prints the
-same bytes.  One source of truth means session, legacy, CLI and
+same bytes.  One source of truth means session, CLI and
 service answers to the same request can be compared with ``==`` on
 bytes — and the test suite does exactly that.
 
@@ -142,8 +142,8 @@ class MapRequest:
     processor-registry key; ``workload`` the workload-registry key the
     block name resolves in (default ``"mp3"``, so pre-registry clients
     keep their wire format).  The tolerance/accuracy knobs mirror
-    :func:`~repro.mapping.decompose.map_block` exactly, so a service
-    request, a session call, and a direct call share cache lines.
+    :meth:`~repro.api.MappingSession.map` exactly, so a service
+    request, a session call, and a batch submission share cache lines.
     """
 
     block: str

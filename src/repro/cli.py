@@ -40,7 +40,7 @@ import json
 import re
 import sys
 
-from repro.api import MappingSession, SessionConfig, canonical_json, default_session
+from repro.api import MappingSession, SessionConfig, canonical_json
 from repro.api.types import ACCURACY_BUDGET_MESSAGE
 from repro.errors import ReproError
 
@@ -278,12 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _session(args: argparse.Namespace) -> MappingSession:
-    if getattr(args, "cache_dir", None):
-        # An explicit directory gets a private session (isolated tiers).
-        return MappingSession(SessionConfig.from_env(cache_dir=args.cache_dir))
-    # Otherwise share the process default session: one coherent cache
-    # pool with any library code in the same process, env knobs live.
-    return default_session()
+    # Only a given directory is passed: from_env(cache_dir=None) would
+    # override REPRO_CACHE_DIR with None.
+    cache_dir = getattr(args, "cache_dir", None)
+    overrides = {"cache_dir": cache_dir} if cache_dir else {}
+    return MappingSession(SessionConfig.from_env(**overrides))
 
 
 def _emit(text: str) -> None:

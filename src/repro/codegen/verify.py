@@ -14,11 +14,11 @@ Stimulus comes from the workload registry: blocks declare a
 everything else gets the seeded fallback, so measurements are
 byte-reproducible across machines.
 
+>>> from repro.api import MappingSession, SessionConfig
 >>> from repro.library import full_library
->>> from repro.mapping.decompose import map_block
 >>> from repro.workload import workload_named
 >>> block = workload_named("mp3").methodology_blocks()["inv_mdctL"]
->>> _winner, matches = map_block(block, full_library())
+>>> matches = MappingSession(SessionConfig()).map(block, full_library()).matches
 >>> double = [m for m in matches if m.element.input_format == "double"][0]
 >>> measurement = measure_match(block, double)
 >>> measurement.compliance

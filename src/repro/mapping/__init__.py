@@ -5,34 +5,25 @@ library elements via simplification modulo side relations, candidate
 generation by symbolic manipulation, block matching for multi-output
 elements, code rewriting, and the full three-step methodology driver.
 
-The entry points (:func:`decompose`, :func:`map_block`) and the
-candidate generators are memoized in two tiers — the in-process LRU
-and an optional persistent disk store — bundled per owner as a
-:class:`~repro.mapping.cache.CacheTiers`.  The typed front door is
-:class:`repro.api.MappingSession`, which owns one tier bundle and
-exposes the whole methodology; the module-level ``map_block`` /
-``configure`` family remains as deprecated shims over the process-wide
-:data:`~repro.mapping.cache.DEFAULT_TIERS`.  See
+:func:`decompose` is the plain Table-2 search.  Memoized mapping — an
+in-process LRU and an optional persistent disk store, bundled as a
+:class:`~repro.mapping.cache.CacheTiers` — belongs to whoever owns the
+tiers; in practice that is :class:`repro.api.MappingSession`, the typed
+front door, which exposes the whole methodology with ``stats()`` for
+hit rates and ``clear_caches()`` for cold-start measurements.  See
 :mod:`repro.mapping.cache` for the fingerprinting and serialization
-contracts, :func:`cache_stats` for hit rates,
-:func:`clear_mapping_caches` for cold-start measurements, and
-:mod:`repro.mapping.batch` (:func:`run_batch`) for mapping whole
-(block × library × platform) work sets with dedup and process
-fan-out.
+contracts and :mod:`repro.mapping.batch` (:func:`run_batch`) for
+mapping whole (block × library × platform) work sets with dedup and
+process fan-out.
 """
 
 from repro.mapping.batch import BatchItem, BatchReport, BatchStats, run_batch
 from repro.mapping.cache import (
-    DEFAULT_TIERS,
     CacheTiers,
-    cache_stats,
-    clear_all,
-    clear_mapping_caches,
-    configure,
+    clear_shared_caches,
     fingerprint_block,
     fingerprint_library,
     fingerprint_platform,
-    mapping_cache_stats,
     shared_cache_stats,
 )
 from repro.mapping.candidates import (
@@ -44,8 +35,6 @@ from repro.mapping.decompose import (
     DecomposeResult,
     MappingSolution,
     decompose,
-    map_block,
-    map_block_pareto,
     residual_cost,
 )
 from repro.mapping.flow import (
@@ -81,8 +70,6 @@ __all__ = [
     "all_manipulations",
     "structural_hints",
     "decompose",
-    "map_block",
-    "map_block_pareto",
     "MappingSolution",
     "DecomposeResult",
     "residual_cost",
@@ -105,13 +92,8 @@ __all__ = [
     "BatchStats",
     "run_batch",
     "CacheTiers",
-    "DEFAULT_TIERS",
-    "cache_stats",
-    "mapping_cache_stats",
     "shared_cache_stats",
-    "clear_mapping_caches",
-    "clear_all",
-    "configure",
+    "clear_shared_caches",
     "fingerprint_block",
     "fingerprint_library",
     "fingerprint_platform",

@@ -3,7 +3,7 @@ items, deduplicated and fanned out across processes.
 
 The methodology re-runs library mapping over many critical blocks and
 a ladder of libraries (the paper's Tables 4–6).  Each individual
-``decompose``/``map_block`` call is already memoized; what was missing
+search is already memoized in its owner's cache tiers; what was missing
 is how the calls are *driven*: a pass that maps its blocks one at a
 time in a single process pays every cold search sequentially.  This
 module accepts a whole batch of work items, resolves what it can from
@@ -37,15 +37,15 @@ are pure, and every value is derived from the same fingerprinted
 inputs (asserted in ``tests/mapping/test_batch.py``).
 
 Cache ownership: ``run_batch(tiers=...)`` resolves and merges against
-an explicit :class:`~repro.mapping.cache.CacheTiers` — the session
-facade passes its own — and defaults to the process-wide
-:data:`~repro.mapping.cache.DEFAULT_TIERS`, so legacy callers keep the
-exact pre-session behaviour.
+the caller's :class:`~repro.mapping.cache.CacheTiers` — in practice a
+session's — so concurrent owners with different cache directories stay
+isolated.
 """
 
 from __future__ import annotations
 
 import inspect
+import math
 import pickle
 from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -53,14 +53,13 @@ from typing import Iterable, Sequence
 
 from repro.frontend.extract import TargetBlock
 from repro.library.catalog import Library
-from repro.mapping.cache import DEFAULT_TIERS, CacheTiers, stable_digest
+from repro.mapping.cache import CacheTiers, stable_digest
 from repro.mapping.decompose import (
     _decompose_key,
     _decompose_uncached,
     _map_block_key,
     _map_block_uncached,
     decompose,
-    map_block,
 )
 from repro.platform.badge4 import Badge4
 from repro.resilience import inject
@@ -69,22 +68,13 @@ from repro.symalg.polynomial import Polynomial
 __all__ = ["BatchItem", "BatchStats", "BatchReport", "run_batch"]
 
 
-def _kw_defaults(fn) -> dict:
-    """Keyword-only defaults of a mapping entry point (minus cache_dir).
-
-    Read from the live signature so the batch engine can never drift
-    from the functions it prewarms — identical knobs mean identical
-    cache keys.
-    """
-    return {
-        name: p.default
-        for name, p in inspect.signature(fn).parameters.items()
-        if p.kind is inspect.Parameter.KEYWORD_ONLY and name != "cache_dir"
-    }
-
-
-_MAP_BLOCK_DEFAULTS = _kw_defaults(map_block)
-_DECOMPOSE_DEFAULTS = _kw_defaults(decompose)
+#: Read from the live signature so the batch engine can never drift
+#: from the search it prewarms — identical knobs mean identical keys.
+_DECOMPOSE_DEFAULTS = {
+    name: p.default
+    for name, p in inspect.signature(decompose).parameters.items()
+    if p.kind is inspect.Parameter.KEYWORD_ONLY
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,8 +83,8 @@ class BatchItem:
 
     Build via :meth:`for_block` (multi-output block matching) or
     :meth:`for_target` (scalar Decompose search); both normalize the
-    knobs with the entry points' own defaults so batch submissions and
-    direct calls share cache lines.
+    knobs with the searches' own defaults so batch submissions and
+    direct session calls share cache lines.
     """
 
     kind: str  # "map_block" | "decompose"
@@ -109,16 +99,13 @@ class BatchItem:
         block: TargetBlock,
         library: Library,
         platform: Badge4 | None = None,
-        **knobs,
+        *,
+        tolerance: float = 1e-6,
+        accuracy_budget: float = math.inf,
     ) -> "BatchItem":
-        """A block-matching item (the ``map_block`` work unit)."""
-        return cls(
-            "map_block",
-            block,
-            library,
-            platform,
-            _normalize(knobs, _MAP_BLOCK_DEFAULTS, "map_block"),
-        )
+        """A block-matching item (the block-match work unit)."""
+        knobs = (("accuracy_budget", accuracy_budget), ("tolerance", tolerance))
+        return cls("map_block", block, library, platform, knobs)
 
     @classmethod
     def for_target(
@@ -129,24 +116,11 @@ class BatchItem:
         **knobs,
     ) -> "BatchItem":
         """A Decompose-search item (the ``decompose`` work unit)."""
-        return cls(
-            "decompose",
-            target,
-            library,
-            platform,
-            _normalize(knobs, _DECOMPOSE_DEFAULTS, "decompose"),
-        )
-
-
-def _normalize(
-    knobs: dict, defaults: dict, kind: str
-) -> tuple[tuple[str, object], ...]:
-    unknown = set(knobs) - set(defaults)
-    if unknown:
-        raise TypeError(f"unknown {kind} knob(s): {sorted(unknown)}")
-    merged = dict(defaults)
-    merged.update(knobs)
-    return tuple(sorted(merged.items()))
+        unknown = set(knobs) - set(_DECOMPOSE_DEFAULTS)
+        if unknown:
+            raise TypeError(f"unknown decompose knob(s): {sorted(unknown)}")
+        merged = tuple(sorted({**_DECOMPOSE_DEFAULTS, **knobs}.items()))
+        return cls("decompose", target, library, platform, merged)
 
 
 @dataclass
@@ -304,9 +278,8 @@ def run_batch(
     items: Iterable[BatchItem],
     *,
     workers: int | None = None,
-    cache_dir: "str | None" = None,
     executor: "Executor | None" = None,
-    tiers: "CacheTiers | None" = None,
+    tiers: CacheTiers,
 ) -> BatchReport:
     """Resolve a batch of mapping work items, fanning cold ones out.
 
@@ -318,9 +291,6 @@ def run_batch(
     workers:
         Worker processes for the cold remainder.  ``None``/0/1 runs
         serially in-process; higher values use a process pool.
-    cache_dir:
-        Per-call override of the persistent tier directory (same
-        semantics as ``decompose``/``map_block``).
     executor:
         An injectable :class:`concurrent.futures.Executor` for the
         cold fan-out.  When given, it is used instead of forking a
@@ -331,15 +301,12 @@ def run_batch(
         behave identically.
     tiers:
         The :class:`~repro.mapping.cache.CacheTiers` to resolve and
-        merge against.  ``None`` uses the process-wide default tiers;
-        sessions pass their own, which is how concurrent sessions with
-        different cache directories stay isolated.
+        merge against (sessions pass their own).
 
     Returns a :class:`BatchReport` whose ``results`` align with the
     submission order.  Every computed value is merged back into the
     in-memory LRU and (when configured) the disk tier, so subsequent
-    direct ``map_block``/``decompose`` calls against the same tiers
-    hit.
+    cached calls against the same tiers hit.
     """
     items = list(items)
     stats = BatchStats(submitted=len(items))
@@ -349,9 +316,7 @@ def run_batch(
         # own max_workers governs the real fan-out width.
         effective = max(effective, getattr(executor, "_max_workers", None) or 2)
     default_platform = Badge4()
-    if tiers is None:
-        tiers = DEFAULT_TIERS
-    tier = tiers.disk(cache_dir)
+    tier = tiers.disk()
 
     keys = [_item_key(item, default_platform) for item in items]
     resolved: dict[tuple, object] = {}

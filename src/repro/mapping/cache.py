@@ -1,45 +1,33 @@
 """Memoization for the mapping flow: repeated decompositions are free.
 
-The mapping entry points (:func:`~repro.mapping.decompose.decompose`,
-:func:`~repro.mapping.decompose.map_block`) and the candidate
-generators are pure functions of their arguments, but their arguments
-are not all hashable: a :class:`~repro.library.catalog.Library` is a
-mutable collection, a :class:`~repro.platform.tally.OperationTally`
-carries a ``dict``, and a :class:`~repro.platform.badge4.Badge4` owns
-live model objects.  This module supplies the missing pieces:
+The mapping searches (:func:`~repro.mapping.decompose.decompose`'s
+Table-2 search and the block match) and the candidate generators are
+pure functions of their arguments, but their arguments are not all
+hashable: a :class:`~repro.library.catalog.Library` is a mutable
+collection, a :class:`~repro.platform.tally.OperationTally` carries a
+``dict``, and a :class:`~repro.platform.badge4.Badge4` owns live model
+objects.  This module supplies the missing pieces:
 
 * **Fingerprints** — small hashable tuples that capture exactly the
-  inputs the algorithms read (element polynomials, costs, cycle
-  prices), so semantically equal libraries/platforms hit the same
-  cache line even when they are distinct objects rebuilt per pass.
-* **LRU caches** — bounded, with hit/miss/eviction counters, optionally
-  registered centrally so :func:`clear_mapping_caches` and
-  :func:`cache_stats` see every process-wide cache the mapping layer
-  owns.
-* **A persistent disk tier** — an sqlite-backed store under a
-  user-configurable cache directory, keyed by a *stable* digest of the
-  same fingerprints plus :data:`SCHEMA_VERSION`.  The expensive entry
-  points consult it on LRU miss and write through on store, so a
-  second process (a CI re-run, a fresh benchmark) starts warm.
-* **:class:`CacheTiers`** — an instantiable bundle of the two mapping
-  LRUs plus a disk-tier resolution policy.  A
-  :class:`~repro.api.MappingSession` owns one, which is how two
-  sessions with different cache directories coexist in one process
-  with fully isolated statistics.  :data:`DEFAULT_TIERS` is the
-  process-wide instance every legacy module-level entry point uses.
-
-Cache-dir configuration
------------------------
-The disk tier is off by default.  The canonical way to turn it on is
-an explicit :class:`~repro.api.SessionConfig` (``cache_dir=...``); the
-process-wide default tiers additionally honor the environment:
-
-* the ``REPRO_CACHE_DIR`` environment variable names a directory
-  (checked dynamically, so exported knobs work without code changes;
-  ``REPRO_NO_CACHE=1`` force-disables it and wins over everything), or
-* the deprecated :func:`configure` pins an explicit directory, or
-* a call site passes ``cache_dir=`` to ``decompose``/``map_block``/
-  ``run_batch``.
+  inputs the algorithms read (element polynomials, formats, costs,
+  cycle prices), so semantically equal libraries/platforms hit the
+  same cache line even when they are distinct objects rebuilt per pass.
+* **LRU caches** — bounded, with hit/miss/eviction counters.
+* **A persistent disk tier** — an sqlite-backed store under a cache
+  directory, keyed by a *stable* digest of the same fingerprints plus
+  :data:`SCHEMA_VERSION`.  The cached searches consult it on LRU miss
+  and write through on store, so a second process (a CI re-run, a
+  fresh benchmark) starts warm.
+* **:class:`CacheTiers`** — the one owner of the mapping caches: the
+  two mapping LRUs plus zero or one disk tier, fixed at construction.
+  A :class:`~repro.api.MappingSession` builds one from its
+  :class:`~repro.api.SessionConfig`, which is how two sessions with
+  different cache directories coexist in one process with fully
+  isolated statistics.
+* **Shared memo caches** — the instantiation/manipulation/hint caches
+  hold platform-independent derivations keyed by exact inputs, so every
+  session shares them; :func:`shared_cache_stats` and
+  :func:`clear_shared_caches` are their one process-wide surface.
 
 A cache directory holds one sqlite file, ``mapping_cache.sqlite``.
 Disk keys cannot use Python ``hash`` (randomized per process); they
@@ -72,7 +60,6 @@ import os
 import pickle
 import sqlite3
 import threading
-import warnings
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -84,22 +71,17 @@ from repro.library.element import LibraryElement
 from repro.platform.badge4 import Badge4
 from repro.platform.tally import OperationTally
 from repro.resilience import CircuitBreaker, inject
+from repro.symalg.gcdtools import clear_gcd_caches
+from repro.symalg.ideal import clear_ideal_caches
 from repro.symalg.polynomial import Polynomial
 
 __all__ = [
     "LRUCache",
     "DiskCache",
     "CacheTiers",
-    "DEFAULT_TIERS",
     "SCHEMA_VERSION",
-    "cache_stats",
-    "mapping_cache_stats",
     "shared_cache_stats",
     "clear_shared_caches",
-    "clear_mapping_caches",
-    "clear_all",
-    "configure",
-    "disk_tier",
     "stable_digest",
     "fingerprint_tally",
     "fingerprint_element",
@@ -110,11 +92,6 @@ __all__ = [
 
 _MISS = object()
 
-#: Every process-wide cache the mapping layer creates, for stats and
-#: clearing.  Session-owned :class:`CacheTiers` caches stay out of it —
-#: their statistics are isolated by design.
-_REGISTRY: list["LRUCache"] = []
-
 #: Bump when a change alters what cached mapping results mean: new
 #: fields on DecomposeResult/BlockMatch, fingerprint coverage changes,
 #: algorithm changes that affect outputs.  Entries written under any
@@ -124,17 +101,11 @@ _REGISTRY: list["LRUCache"] = []
 #: (pluggable processor registry + Pareto fronts derived from cached
 #: match lists; platform identity has keyed every entry since v1, but
 #: v1 entries predate the registry's non-SA-1110 specs and the
-#: derived-front contract, so they are retired wholesale).
-SCHEMA_VERSION = 2
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    """Emit the one deprecation warning a legacy entry point carries."""
-    warnings.warn(
-        f"{old} is deprecated; {new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+#: derived-front contract, so they are retired wholesale); 3 — element
+#: input/output formats join the element fingerprint (verification
+#: reads both from the cached match, so v2 entries could answer with a
+#: stale format).
+SCHEMA_VERSION = 3
 
 
 class LRUCache:
@@ -144,10 +115,6 @@ class LRUCache:
     thread pool, so ``get``'s pop-and-reinsert recency update and
     ``put``'s eviction must be atomic across threads, not just across
     bytecodes.
-
-    ``register=False`` keeps a cache out of the process-wide registry:
-    session-owned tiers opt out so :func:`cache_stats` and
-    :func:`clear_mapping_caches` never reach across session boundaries.
 
     >>> cache = LRUCache(maxsize=2, name="doc")
     >>> cache.put("a", 1); cache.put("b", 2); cache.put("c", 3)
@@ -160,7 +127,7 @@ class LRUCache:
     (1, 1, 1)
     """
 
-    def __init__(self, maxsize: int = 256, name: str = "", register: bool = True):
+    def __init__(self, maxsize: int = 256, name: str = ""):
         if maxsize <= 0:
             raise ValueError(f"maxsize must be positive, got {maxsize}")
         self.maxsize = maxsize
@@ -170,8 +137,6 @@ class LRUCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        if register:
-            _REGISTRY.append(self)
 
     def get(self, key: Hashable, default: Any = None) -> Any:
         """The cached value for ``key`` (marking it recently used)."""
@@ -244,14 +209,18 @@ def fingerprint_element(element: LibraryElement) -> tuple:
     """Hashable digest of everything the mapper reads from an element.
 
     Covers the polynomial representation (structural — the
-    :class:`~repro.symalg.polynomial.Polynomial` hash), accuracy, and
-    the cost tally; the ``kernel`` callable is deliberately excluded
-    because matching and decomposition never execute it.
+    :class:`~repro.symalg.polynomial.Polynomial` hash), the data
+    formats (verification reads them from the cached match), accuracy,
+    and the cost tally; the ``kernel`` callable and the free-text
+    ``description`` are deliberately excluded because matching and
+    decomposition never read them.
     """
     return (
         element.name,
         element.library,
         element.polynomials,
+        element.input_format,
+        element.output_format,
         element.accuracy,
         fingerprint_tally(element.cost),
     )
@@ -600,41 +569,23 @@ class DiskCache:
 
 
 # ----------------------------------------------------------------------
-# Tier bundles: the instantiable cache-ownership unit
+# Tier bundles: the cache-ownership unit
 # ----------------------------------------------------------------------
 #: Filename of the store inside a cache directory.
 _DB_NAME = "mapping_cache.sqlite"
 
-#: One DiskCache per resolved directory for the *default* tiers, shared
-#: by every legacy call site so stats accumulate and ``clear_all()``
-#: can reach them.  Session-owned tiers keep private memos.
-_TIERS: dict[Path, DiskCache] = {}
-
-#: Explicit configure() choice: unset / a directory / disabled (None).
-_UNSET = object()
-
 
 class CacheTiers:
-    """The two mapping LRUs plus a disk-tier policy, as one object.
+    """The two mapping LRUs plus zero or one disk tier, as one object.
 
-    This is the cache-ownership unit of the session facade: a
-    :class:`~repro.api.MappingSession` owns exactly one ``CacheTiers``,
-    so two sessions in one process can point at different cache
-    directories (or none) with fully isolated hit/miss/write counters.
-    The module-level entry points all share :data:`DEFAULT_TIERS`.
-
-    Disk resolution has three modes, fixed at construction:
-
-    * ``follow_env=True`` — the legacy process-wide behaviour:
-      ``REPRO_NO_CACHE`` force-disables (it wins over everything,
-      including a pinned directory), an explicitly configured
-      directory wins otherwise, and ``REPRO_CACHE_DIR`` is the
-      fallback.  Only :data:`DEFAULT_TIERS` uses this mode.
-    * ``cache_dir=<dir>`` — pinned: the tier lives under ``<dir>``,
-      environment variables are ignored (explicit configuration
-      outranks the environment; see the precedence table in
-      ``docs/architecture.md``).
-    * ``cache_dir=None`` (the default) — persistence off.
+    This is the only owner of mapping cache state: a
+    :class:`~repro.api.MappingSession` builds exactly one from its
+    config, so two sessions in one process can point at different
+    cache directories (or none) with fully isolated hit/miss/write
+    counters.  ``cache_dir`` is fixed at construction — a directory
+    puts the disk tier under it, ``None`` (the default) keeps
+    persistence off.  Environment variables are never read here; that
+    is :meth:`repro.api.SessionConfig.from_env`'s job.
 
     >>> tiers = CacheTiers()
     >>> tiers.disk() is None
@@ -647,92 +598,39 @@ class CacheTiers:
         self,
         *,
         cache_dir: "str | os.PathLike[str] | None" = None,
-        follow_env: bool = False,
         decompose_lru: int = 512,
         map_block_lru: int = 256,
-        register: bool = False,
-        tier_memo: "dict[Path, DiskCache] | None" = None,
     ):
-        self.decompose = LRUCache(decompose_lru, name="decompose", register=register)
-        self.map_block = LRUCache(map_block_lru, name="map_block", register=register)
-        self._env_veto = follow_env
-        if follow_env:
-            self._configured: Any = _UNSET
-        elif cache_dir is None:
-            self._configured = None
-        else:
-            self._configured = Path(cache_dir)
-        self._memo = tier_memo if tier_memo is not None else {}
+        self.decompose = LRUCache(decompose_lru, name="decompose")
+        self.map_block = LRUCache(map_block_lru, name="map_block")
+        self._disk = (
+            None
+            if cache_dir is None
+            else DiskCache(Path(cache_dir).expanduser() / _DB_NAME)
+        )
 
-    # -- disk resolution -------------------------------------------------
-    def tier_at(self, cache_dir: "str | os.PathLike[str]") -> DiskCache:
-        """The (memoized) disk tier rooted at ``cache_dir``."""
-        path = Path(cache_dir).expanduser()
-        tier = self._memo.get(path)
-        if tier is None:
-            tier = self._memo[path] = DiskCache(path / _DB_NAME)
-        return tier
-
-    def disk(
-        self, cache_dir: "str | os.PathLike[str] | None" = None
-    ) -> DiskCache | None:
-        """The active disk tier (``cache_dir`` overrides per call).
-
-        In env-following mode ``REPRO_NO_CACHE`` (any non-empty value)
-        disables the tier unconditionally — it is the benchmark knob
-        guaranteeing cold numbers without editing code.  Pinned and
-        disabled tiers ignore the environment entirely.
-        """
-        if self._env_veto and os.environ.get("REPRO_NO_CACHE"):
-            return None
-        if cache_dir is not None:
-            return self.tier_at(cache_dir)
-        if self._configured is None:
-            return None
-        if self._configured is not _UNSET:
-            return self.tier_at(self._configured)
-        env_dir = os.environ.get("REPRO_CACHE_DIR")
-        if not env_dir:
-            return None
-        return self.tier_at(env_dir)
-
-    def configure(
-        self,
-        cache_dir: "str | os.PathLike[str] | None" = None,
-        *,
-        follow_env: bool = False,
-    ) -> DiskCache | None:
-        """Repoint this bundle's disk tier.
-
-        ``configure(path)`` pins it to ``path``; ``configure(None)``
-        disables it; ``configure(follow_env=True)`` reverts to
-        environment-driven resolution.  Returns the now-active tier.
-        """
-        if follow_env:
-            self._configured = _UNSET
-        else:
-            self._configured = None if cache_dir is None else Path(cache_dir)
-        return self.disk()
+    def disk(self) -> DiskCache | None:
+        """The disk tier, or ``None`` when persistence is off."""
+        return self._disk
 
     # -- observability / lifecycle ---------------------------------------
     def stats(self) -> dict:
         """The canonical per-tiers statistics shape.
 
         ``{"decompose": ..., "map_block": ..., "disk": ...}`` — the two
-        LRU caches' counters plus the active disk tier's (or
+        LRU caches' counters plus the disk tier's (or
         ``{"enabled": False}`` when persistence is off).
         """
-        tier = self.disk()
         return {
             "decompose": self.decompose.stats(),
             "map_block": self.map_block.stats(),
-            "disk": tier.stats() if tier is not None else {"enabled": False},
+            "disk": {"enabled": False} if self._disk is None else self._disk.stats(),
         }
 
     def lookup_map_block(self, key: tuple, digest: "str | None" = None):
         """The cached ``(winner, matches)`` for a prebuilt map_block
-        key, or ``None`` — memory first, then the active disk tier (a
-        disk hit is promoted into the LRU).  Never computes.
+        key, or ``None`` — memory first, then the disk tier (a disk hit
+        is promoted into the LRU).  Never computes.
 
         This is the fleet front's routing peek: a worker that is not a
         request's shard owner consults it so cross-worker warm hits
@@ -743,12 +641,11 @@ class CacheTiers:
         cached = self.map_block.get(key)
         if cached is not None:
             return cached
-        tier = self.disk()
-        if tier is None:
+        if self._disk is None:
             return None
         if digest is None:
             digest = stable_digest(key)
-        stored = tier.get(digest)
+        stored = self._disk.get(digest)
         if stored is not None:
             self.map_block.put(key, stored)
         return stored
@@ -759,153 +656,50 @@ class CacheTiers:
         self.map_block.clear()
 
     def clear(self) -> None:
-        """Drop the LRUs *and* every disk tier this bundle resolves to.
+        """Drop the LRUs *and* delete the disk store, if any.
 
-        The configured tier is materialized first, so a fresh process
-        (``repro cache clear``) wipes the on-disk store it points at,
-        not just tiers this process happened to have opened already.
+        A fresh process (``repro cache clear``) therefore wipes the
+        on-disk store its directory points at, not just entries this
+        process happened to open.
         """
         self.clear_memory()
-        self.disk()
-        for tier in list(self._memo.values()):
-            tier.clear()
+        if self._disk is not None:
+            self._disk.clear()
 
     def __repr__(self) -> str:
-        if self._configured is _UNSET:
-            where = "follow_env"
-        elif self._configured is None:
-            where = "disk=off"
-        else:
-            where = f"disk={self._configured}"
-        return f"CacheTiers({where})"
-
-
-#: The process-wide default tiers: every legacy module-level entry
-#: point (``map_block`` without a session, ``run_batch(tiers=None)``)
-#: and :func:`repro.api.default_session` share this instance, so their
-#: statistics and cache lines are one pool, exactly as before the
-#: session facade existed.
-DEFAULT_TIERS = CacheTiers(follow_env=True, register=True, tier_memo=_TIERS)
+        where = "off" if self._disk is None else self._disk.path.parent
+        return f"CacheTiers(disk={where})"
 
 
 # ----------------------------------------------------------------------
-# Process-wide stats & clearing (shared caches + the default tiers)
+# Shared memo caches: pure-function derivations every session reuses
 # ----------------------------------------------------------------------
-def _registry_stats() -> dict[str, dict]:
-    stats: dict[str, dict] = {cache.name: cache.stats() for cache in _REGISTRY}
-    tier = DEFAULT_TIERS.disk()
-    stats["disk"] = tier.stats() if tier is not None else {"enabled": False}
-    return stats
+#: Candidate bindings per (element, target) pair — the innermost loop
+#: of the Decompose search (:mod:`repro.mapping.match`).
+INSTANTIATIONS_CACHE = LRUCache(maxsize=8192, name="instantiations")
+#: Manipulation forms and structural hints per target polynomial
+#: (:mod:`repro.mapping.candidates`); polynomials are immutable and
+#: hashable, so they key their own results directly.
+MANIPULATIONS_CACHE = LRUCache(maxsize=1024, name="all_manipulations")
+HINTS_CACHE = LRUCache(maxsize=1024, name="structural_hints")
 
-
-def cache_stats() -> dict[str, dict]:
-    """Statistics for every *process-wide* mapping cache + disk tier.
-
-    Per registered in-memory cache: size/maxsize/hits/misses/evictions.
-    Under the ``"disk"`` key: the default tiers' active disk tier, or
-    ``{"enabled": False}`` when none is configured.  Session-owned
-    tiers are excluded by design; the canonical per-session shape is
-    :meth:`CacheTiers.stats` (via ``MappingSession.stats()``).
-    """
-    return _registry_stats()
-
-
-def mapping_cache_stats() -> dict[str, dict]:
-    """Deprecated alias of :func:`cache_stats` (the original PR-1 name)."""
-    _warn_deprecated(
-        "mapping_cache_stats()",
-        "use cache_stats() or CacheTiers.stats() via MappingSession.stats()",
-    )
-    return _registry_stats()
+_SHARED_CACHES = (INSTANTIATIONS_CACHE, MANIPULATIONS_CACHE, HINTS_CACHE)
 
 
 def shared_cache_stats() -> dict[str, dict]:
     """Statistics of the pure-function caches every session shares.
 
-    The instantiation/manipulation/hint caches are keyed by exact
-    inputs and hold platform-independent derivations, so they are
-    process-wide singletons rather than session state; this reports
-    them without the default tiers' own entries.
+    They are keyed by exact inputs and hold platform-independent
+    derivations, so they are process-wide rather than session state.
     """
-    own = {id(DEFAULT_TIERS.decompose), id(DEFAULT_TIERS.map_block)}
-    return {cache.name: cache.stats() for cache in _REGISTRY if id(cache) not in own}
+    return {cache.name: cache.stats() for cache in _SHARED_CACHES}
 
 
 def clear_shared_caches() -> None:
-    """Empty the shared pure-function caches, leaving tier LRUs alone.
-
-    The session-facing twin of :func:`clear_mapping_caches`:
-    ``MappingSession.clear_caches()`` clears its own
-    :class:`CacheTiers` plus these, without reaching into the default
-    tiers a *different* session (or legacy caller) may be warming.
-    """
-    own = {id(DEFAULT_TIERS.decompose), id(DEFAULT_TIERS.map_block)}
-    for cache in _REGISTRY:
-        if id(cache) not in own:
-            cache.clear()
-
-
-def clear_mapping_caches() -> None:
-    """Empty every process-wide in-memory mapping cache.
-
-    Benchmarks use this between cold/warm phases; tests use it for
-    isolation.  Neither disk tiers nor session-owned caches are
-    touched — use :meth:`CacheTiers.clear` (or the deprecated
-    :func:`clear_all`) for a truly cold start.
-    """
-    for cache in _REGISTRY:
+    """Empty every process-wide memo: the shared mapping caches plus
+    symalg's Gröbner-basis and GCD memos, so one call makes a process
+    cold (session-owned tiers are cleared by their owner)."""
+    for cache in _SHARED_CACHES:
         cache.clear()
-
-
-def clear_all() -> None:
-    """Deprecated: empty the process-wide in-memory caches *and* every
-    disk tier the default tiers opened (the active one and any per-call
-    ``cache_dir`` overrides).  Use ``clear_mapping_caches()`` plus
-    ``DEFAULT_TIERS.clear()`` (or ``MappingSession.clear_caches()``)."""
-    _warn_deprecated(
-        "clear_all()",
-        "use clear_mapping_caches() + CacheTiers.clear() "
-        "(or MappingSession.clear_caches())",
-    )
-    clear_mapping_caches()
-    for tier in list(_TIERS.values()):
-        tier.clear()
-
-
-# ----------------------------------------------------------------------
-# Legacy tier configuration (deprecated shims over DEFAULT_TIERS)
-# ----------------------------------------------------------------------
-def _tier_at(cache_dir: "str | os.PathLike[str]") -> DiskCache:
-    """The default tiers' (memoized) disk tier rooted at ``cache_dir``."""
-    return DEFAULT_TIERS.tier_at(cache_dir)
-
-
-def configure(
-    cache_dir: "str | os.PathLike[str] | None" = None,
-    *,
-    follow_env: bool = False,
-) -> DiskCache | None:
-    """Deprecated: choose the process-wide disk tier.
-
-    ``configure(path)`` pins the default tiers to ``path``;
-    ``configure(None)`` disables them; ``configure(follow_env=True)``
-    reverts to environment-driven resolution.  New code builds a
-    :class:`~repro.api.SessionConfig` instead — sessions own their
-    tiers, so nothing process-global needs mutating.
-    """
-    _warn_deprecated(
-        "configure()",
-        "build a repro.api.SessionConfig(cache_dir=...) "
-        "(or call DEFAULT_TIERS.configure for the process default)",
-    )
-    return DEFAULT_TIERS.configure(cache_dir, follow_env=follow_env)
-
-
-def disk_tier() -> DiskCache | None:
-    """The default tiers' active disk tier, or ``None`` when off.
-
-    ``REPRO_NO_CACHE`` (any non-empty value) always disables it,
-    including one pinned by :func:`configure` — it is the benchmark
-    knob guaranteeing cold numbers without editing code.
-    """
-    return DEFAULT_TIERS.disk()
+    clear_ideal_caches()
+    clear_gcd_caches()

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.mapping.cache import LRUCache
+from repro.mapping.cache import HINTS_CACHE, MANIPULATIONS_CACHE
 from repro.symalg.expression import Expression
 from repro.symalg.factor import factor
 from repro.symalg.horner import horner
@@ -23,11 +23,6 @@ from repro.symalg.polynomial import Polynomial
 from repro.symalg.treeheight import reduce_tree_height
 
 __all__ = ["CandidateForm", "all_manipulations", "structural_hints"]
-
-#: Polynomials are immutable and hashable, so they key their own
-#: manipulation results directly.
-_MANIPULATIONS_CACHE = LRUCache(maxsize=1024, name="all_manipulations")
-_HINTS_CACHE = LRUCache(maxsize=1024, name="structural_hints")
 
 
 @dataclass(frozen=True)
@@ -49,11 +44,11 @@ def all_manipulations(target: Polynomial) -> list[CandidateForm]:
     reduction are the expensive parts of candidate seeding, and the
     Decompose search asks for the same target's forms repeatedly.
     """
-    cached = _MANIPULATIONS_CACHE.get(target)
+    cached = MANIPULATIONS_CACHE.get(target)
     if cached is not None:
         return list(cached)
     forms = _all_manipulations_uncached(target)
-    _MANIPULATIONS_CACHE.put(target, tuple(forms))
+    MANIPULATIONS_CACHE.put(target, tuple(forms))
     return forms
 
 
@@ -105,11 +100,11 @@ def structural_hints(target: Polynomial) -> list[Polynomial]:
     side relations that equal one of these hints first.  Memoized on
     the target polynomial.
     """
-    cached = _HINTS_CACHE.get(target)
+    cached = HINTS_CACHE.get(target)
     if cached is not None:
         return list(cached)
     hints = _structural_hints_uncached(target)
-    _HINTS_CACHE.put(target, tuple(hints))
+    HINTS_CACHE.put(target, tuple(hints))
     return hints
 
 

@@ -21,12 +21,10 @@ elements:
 Worst case remains exponential (the paper says so too); node and depth
 limits keep practice polite.
 
-Entry points come in two layers.  The session facade
+The module-level :func:`decompose` is the plain, uncached search.
+Memoized entry points belong to the cache owner: the session facade
 (:class:`repro.api.MappingSession`) calls the ``_*_cached`` internals
-with an explicit :class:`~repro.mapping.cache.CacheTiers`; the
-module-level :func:`map_block` / :func:`map_block_pareto` are
-deprecated shims over the process-wide default tiers, kept for the
-paper-reproduction scripts that predate sessions.
+here with its own :class:`~repro.mapping.cache.CacheTiers`.
 """
 
 from __future__ import annotations
@@ -39,10 +37,7 @@ from repro.errors import GroebnerExplosion
 from repro.frontend.extract import TargetBlock
 from repro.library.catalog import Library
 from repro.mapping.cache import (
-    DEFAULT_TIERS,
     CacheTiers,
-    DiskCache,
-    _warn_deprecated,
     fingerprint_block,
     fingerprint_library,
     fingerprint_platform,
@@ -65,16 +60,8 @@ __all__ = [
     "MappingSolution",
     "DecomposeResult",
     "decompose",
-    "map_block",
-    "map_block_pareto",
     "residual_cost",
 ]
-
-#: Legacy aliases for the default tiers' caches (external pokers and
-#: pre-session tests import these names; new code goes through a
-#: :class:`~repro.mapping.cache.CacheTiers`).
-_DECOMPOSE_CACHE = DEFAULT_TIERS.decompose
-_MAP_BLOCK_CACHE = DEFAULT_TIERS.map_block
 
 
 def _decompose_key(
@@ -90,7 +77,7 @@ def _decompose_key(
 ) -> tuple:
     """The cache key of one decompose work item.
 
-    Shared between :func:`decompose` and the batch engine so a batch
+    Shared between the cached search and the batch engine so a batch
     prewarm and a later direct call land on the same cache line — in
     memory (hashable tuple) and on disk (via
     :func:`~repro.mapping.cache.stable_digest`).
@@ -125,13 +112,6 @@ def _map_block_key(
         tolerance,
         accuracy_budget,
     )
-
-
-def _tier_for(cache_dir) -> DiskCache | None:
-    """The disk tier a legacy call should use: explicit dir > global
-    config; ``REPRO_NO_CACHE`` wins even over an explicit per-call
-    directory (see :meth:`~repro.mapping.cache.CacheTiers.disk`)."""
-    return DEFAULT_TIERS.disk(cache_dir)
 
 
 def residual_cost(poly: Polynomial, platform: Badge4) -> float:
@@ -179,8 +159,8 @@ class MappingSolution:
 class DecomposeResult:
     """Search outcome plus statistics (for the Table 2 runtime bench).
 
-    Frozen: :func:`decompose` memoizes results and returns the cached
-    instance to every caller, so mutation would poison the cache.
+    Frozen: the cached search returns the same instance to every
+    caller, so mutation would poison the cache.
     """
 
     best: MappingSolution
@@ -215,7 +195,6 @@ def decompose(
     max_nodes: int = 500,
     use_hints: bool = True,
     use_bounding: bool = True,
-    cache_dir: "str | None" = None,
 ) -> DecomposeResult:
     """Map ``target`` into ``library`` elements (Table 2's ``Decompose``).
 
@@ -227,16 +206,12 @@ def decompose(
     the manipulation-guided candidate ordering and the branch-and-bound
     cost pruning respectively (both on in the paper's algorithm).
 
-    Results are memoized in two tiers: the in-process LRU (repeating a
-    decomposition in the inner loop of the methodology's mapping passes
-    returns the cached result without searching) and, when a cache dir
-    is configured, the persistent disk tier — a fresh process re-running
-    the same mapping starts warm.  This module-level form uses the
-    process-wide default tiers; ``cache_dir`` overrides their disk
-    directory for this call.  Session users get the same search with
-    session-owned tiers via :meth:`repro.api.MappingSession.decompose`.
+    This function is the plain search and caches nothing; the memoized
+    form (in-process LRU plus the optional disk tier, so repeated and
+    cross-process decompositions are free) is
+    :meth:`repro.api.MappingSession.decompose`.
     """
-    return _decompose_cached(
+    return _decompose_uncached(
         target,
         library,
         platform or Badge4(),
@@ -246,8 +221,6 @@ def decompose(
         max_nodes=max_nodes,
         use_hints=use_hints,
         use_bounding=use_bounding,
-        tiers=DEFAULT_TIERS,
-        cache_dir=cache_dir,
     )
 
 
@@ -263,7 +236,6 @@ def _decompose_cached(
     use_hints: bool,
     use_bounding: bool,
     tiers: CacheTiers,
-    cache_dir: "str | None" = None,
 ) -> DecomposeResult:
     """The two-tier cached search against an explicit tier bundle."""
     key = _decompose_key(
@@ -280,7 +252,7 @@ def _decompose_cached(
     cached = tiers.decompose.get(key)
     if cached is not None:
         return cached
-    tier = tiers.disk(cache_dir)
+    tier = tiers.disk()
     digest = stable_digest(key) if tier is not None else None
     if tier is not None:
         stored = tier.get(digest)
@@ -461,7 +433,7 @@ def _candidate_instantiations(
     # the order-independent library fingerprint would be unsound.
     for element in sorted(library, key=lambda e: e.name):
         if element.n_outputs > 1:
-            continue  # block elements are handled by map_block
+            continue  # block elements are handled by the block match
         for inst in enumerate_instantiations(element, poly, tolerance):
             # Bindings may reference earlier element outputs (MAC-style
             # chaining); application tagging keeps symbols fresh, so
@@ -480,46 +452,6 @@ def _candidate_instantiations(
     return [inst for _, _, inst in scored[:24]]
 
 
-def map_block(
-    block: TargetBlock,
-    library: Library,
-    platform: Badge4 | None = None,
-    *,
-    tolerance: float = 1e-6,
-    accuracy_budget: float = float("inf"),
-    cache_dir: "str | None" = None,
-) -> tuple[BlockMatch | None, list[BlockMatch]]:
-    """Deprecated module-level block mapping over the process globals.
-
-    This is the one-step matching that sends the IMDCT loop nest to
-    ``IppsMDCTInv_MP3_32s``: every candidate element whose rows match
-    the block's polynomials within tolerance is characterized, and the
-    cheapest with sufficient accuracy wins.
-
-    Returns ``(winner_or_None, all_matches)``.  Memoized in the
-    process-wide default tiers (``cache_dir`` overrides their disk
-    directory), which is exactly why it is deprecated: it reads global
-    cache state a caller cannot scope.  Use
-    :meth:`repro.api.MappingSession.map` — same search, same cache
-    keys, session-owned tiers, and a typed result whose ``to_json()``
-    is the service's wire format.
-    """
-    _warn_deprecated(
-        "module-level map_block()",
-        "use repro.api.MappingSession.map() (sessions own the cache "
-        "tiers this call reads from process globals)",
-    )
-    return _map_block_cached(
-        block,
-        library,
-        platform or Badge4(),
-        tolerance,
-        accuracy_budget,
-        DEFAULT_TIERS,
-        cache_dir,
-    )
-
-
 def _map_block_cached(
     block: TargetBlock,
     library: Library,
@@ -527,9 +459,14 @@ def _map_block_cached(
     tolerance: float,
     accuracy_budget: float,
     tiers: CacheTiers,
-    cache_dir: "str | None" = None,
 ) -> tuple[BlockMatch | None, list[BlockMatch]]:
     """Two-tier cached block matching against an explicit tier bundle.
+
+    This is the one-step matching that sends the IMDCT loop nest to
+    ``IppsMDCTInv_MP3_32s``: every candidate element whose rows match
+    the block's polynomials within tolerance is characterized, and the
+    cheapest with sufficient accuracy wins.  Returns
+    ``(winner_or_None, all_matches)``.
 
     Re-mapping the same block against the same library ladder (every
     pass of :meth:`~repro.mapping.flow.MethodologyFlow.run_passes`,
@@ -541,7 +478,7 @@ def _map_block_cached(
     if cached is not None:
         winner, matches = cached
         return winner, list(matches)
-    tier = tiers.disk(cache_dir)
+    tier = tiers.disk()
     digest = stable_digest(key) if tier is not None else None
     if tier is not None:
         stored = tier.get(digest)
@@ -556,88 +493,6 @@ def _map_block_cached(
     return value[0], list(value[1])
 
 
-def map_block_pareto(
-    block: TargetBlock,
-    library: Library,
-    platform: Badge4 | None = None,
-    *,
-    tolerance: float = 1e-6,
-    accuracy_budget: float = float("inf"),
-    cache_dir: "str | None" = None,
-    measure: bool = False,
-    stimulus=None,
-) -> "BlockParetoResult":
-    """Deprecated multi-objective :func:`map_block` over the globals:
-    the Pareto front over (cycles, energy, accuracy) instead of a
-    single scalar winner.  Use :meth:`repro.api.MappingSession.pareto`.
-
-    Every adequate match is scored on ``platform`` — cycles by the
-    processor model, Joules by the board's energy model, accuracy from
-    the element label — and the non-dominated set is returned as a
-    :class:`~repro.mapping.pareto.BlockParetoResult`.  The scalar API
-    is the cycles-only projection: ``result.cycles_winner`` equals
-    ``map_block(...)[0]`` by construction.
-
-    The match list is shared with :func:`map_block` through both cache
-    tiers (same key, same value); only the energy scoring happens per
-    call, in-process, so fronts can never be served stale across
-    energy-model changes.
-
-    ``measure=True`` additionally runs every candidate's generated
-    fixed-point kernel against the exact float64 reference
-    (:func:`repro.codegen.verify.match_measurer`) and attaches
-    ``measured_accuracy`` / ``snr_db`` to each point's objectives;
-    ``stimulus`` overrides the workload's deterministic input vectors.
-    Measurement is derived like energy — never cached, never part of
-    the cache key — so measured and unmeasured calls share hits.
-    """
-    _warn_deprecated(
-        "module-level map_block_pareto()",
-        "use repro.api.MappingSession.pareto()",
-    )
-    return _map_block_pareto_cached(
-        block,
-        library,
-        platform or Badge4(),
-        tolerance,
-        accuracy_budget,
-        DEFAULT_TIERS,
-        cache_dir,
-        measure=measure,
-        stimulus=stimulus,
-    )
-
-
-def _map_block_pareto_cached(
-    block: TargetBlock,
-    library: Library,
-    platform: Badge4,
-    tolerance: float,
-    accuracy_budget: float,
-    tiers: CacheTiers,
-    cache_dir: "str | None" = None,
-    *,
-    measure: bool = False,
-    stimulus=None,
-) -> "BlockParetoResult":
-    """Front derivation over the cached match list (derived-front
-    contract: energy — and measurement, when requested — is always
-    scored fresh, in-process)."""
-    from repro.mapping.pareto import BlockParetoResult
-
-    _winner, matches = _map_block_cached(
-        block, library, platform, tolerance, accuracy_budget, tiers, cache_dir
-    )
-    measure_fn = None
-    if measure:
-        from repro.codegen.verify import match_measurer
-
-        measure_fn = match_measurer(block, stimulus=stimulus)
-    return BlockParetoResult.from_matches(
-        block.name, platform, matches, measure=measure_fn
-    )
-
-
 def _map_block_uncached(
     block: TargetBlock,
     library: Library,
@@ -645,7 +500,7 @@ def _map_block_uncached(
     tolerance: float,
     accuracy_budget: float,
 ) -> tuple[BlockMatch | None, tuple[BlockMatch, ...]]:
-    """The search behind :func:`map_block`, in LRU-value shape."""
+    """The search behind :func:`_map_block_cached`, in LRU-value shape."""
     matches: list[BlockMatch] = []
     # Name-sorted for the same reason as _candidate_instantiations: the
     # cost-sort below must break ties independent of assembly order.

@@ -9,7 +9,7 @@
    their polynomials (the complex stages via the frontend on
    reference-style kernel sources).
 3. **Library mapping** — match each critical block against the active
-   libraries (``map_block`` for the complex elements); rebuild the
+   libraries (the block match for the complex elements); rebuild the
    decoder with the chosen elements; verify compliance; re-profile.
 
 Calling :meth:`run_passes` with the paper's library ladder (LM+IH, then
@@ -17,8 +17,8 @@ LM+IH+IPP) regenerates Tables 4, 5 and 6 mechanically.
 
 A flow can be session-bound: :meth:`repro.api.MappingSession.flow`
 builds one wired to the session's cache tiers, worker count, executor
-and block catalog, so every pass resolves against session-owned state
-instead of process globals.
+and block catalog, so every pass resolves against session-owned state.
+A bare flow owns private memory-only tiers.
 """
 
 from __future__ import annotations
@@ -276,8 +276,7 @@ class MethodologyFlow:
     together, deduplicated against both cache tiers, and the cold
     remainder mapped in parallel worker processes.  ``None`` (default)
     keeps everything serial and in-process — results are identical
-    either way.  ``cache_dir`` pins the persistent tier for this flow
-    (otherwise the global ``REPRO_CACHE_DIR`` configuration applies).
+    either way.
 
     ``executor`` injects a caller-owned
     :class:`concurrent.futures.Executor` into every batch submission
@@ -288,7 +287,7 @@ class MethodologyFlow:
     catalog so frontend extraction happens once per process, not once
     per flow.  ``tiers`` binds the flow to an explicit
     :class:`~repro.mapping.cache.CacheTiers` (a session's); ``None``
-    keeps the process-wide default tiers.  ``registry`` is the
+    gives the flow its own memory-only tiers.  ``registry`` is the
     processor catalog :meth:`sweep` resolves platform keys against
     (sessions pass their configured one; the default registry
     otherwise); ``workloads`` the workload catalog block sets resolve
@@ -302,7 +301,6 @@ class MethodologyFlow:
         platform: Badge4 | None = None,
         critical_threshold_percent: float = 5.0,
         workers: int | None = None,
-        cache_dir: str | None = None,
         executor=None,
         blocks: "Mapping[str, TargetBlock] | None" = None,
         tiers: "CacheTiers | None" = None,
@@ -313,9 +311,8 @@ class MethodologyFlow:
         self.platform = platform or Badge4()
         self.threshold = critical_threshold_percent
         self.workers = workers
-        self.cache_dir = cache_dir
         self.executor = executor
-        self.tiers = tiers
+        self.tiers = tiers if tiers is not None else CacheTiers()
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
         self.workloads = (
             workloads if workloads is not None else DEFAULT_WORKLOAD_REGISTRY
@@ -390,7 +387,6 @@ class MethodologyFlow:
                 for _name, block in blocks
             ],
             workers=self.workers,
-            cache_dir=self.cache_dir,
             executor=self.executor,
             tiers=self.tiers,
         )
@@ -423,7 +419,6 @@ class MethodologyFlow:
         tolerance: float = 1e-6,
         accuracy_budget: float = float("inf"),
         workers=_UNSET,
-        cache_dir=_UNSET,
         executor=_UNSET,
     ) -> SweepReport:
         """Map every block against every library on every platform.
@@ -442,9 +437,8 @@ class MethodologyFlow:
         workload-registry block set (default: the flow's own, normally
         ``mp3``), and an explicit ``blocks`` mapping overrides the
         block objects while keeping the workload label.  ``workers``/
-        ``cache_dir``/``executor`` default to the flow's own
-        configuration, as do the flow's bound cache tiers and
-        processor registry.
+        ``executor`` default to the flow's own configuration; the
+        cache tiers and processor registry are always the flow's.
         """
         resolved = self.registry.resolve(platforms)
         libs = list(libraries) if libraries is not None else _sweep_library_ladder()
@@ -485,7 +479,6 @@ class MethodologyFlow:
         batch = run_batch(
             items,
             workers=self.workers if workers is _UNSET else workers,
-            cache_dir=self.cache_dir if cache_dir is _UNSET else cache_dir,
             executor=self.executor if executor is _UNSET else executor,
             tiers=self.tiers,
         )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from repro.frontend.extract import TargetBlock
 from repro.library.element import LibraryElement
-from repro.mapping.cache import LRUCache, fingerprint_element
+from repro.mapping.cache import INSTANTIATIONS_CACHE, fingerprint_element
 from repro.symalg.ideal import SideRelation
 from repro.symalg.polynomial import Polynomial
 
@@ -36,11 +36,6 @@ __all__ = [
     "enumerate_instantiations",
     "match_block",
 ]
-
-#: Candidate bindings per (element, target) pair — the innermost loop
-#: of the Decompose search, re-entered for every node that shares a
-#: residual polynomial with an earlier node or an earlier call.
-_INSTANTIATIONS_CACHE = LRUCache(maxsize=8192, name="instantiations")
 
 _INDEX_RE = re.compile(r"(\d+)")
 
@@ -127,11 +122,11 @@ def enumerate_instantiations(
     which is interchangeable by the fingerprint contract.
     """
     key = (fingerprint_element(element), target, tolerance, limit)
-    cached = _INSTANTIATIONS_CACHE.get(key)
+    cached = INSTANTIATIONS_CACHE.get(key)
     if cached is not None:
         return list(cached)
     result = _enumerate_uncached(element, target, tolerance, limit)
-    _INSTANTIATIONS_CACHE.put(key, tuple(result))
+    INSTANTIATIONS_CACHE.put(key, tuple(result))
     return result
 
 

@@ -1,7 +1,7 @@
 """Multi-objective candidate scoring: Pareto fronts over
 (cycles, energy, accuracy).
 
-The paper's ``map_block`` picks one winner — the cheapest-in-cycles
+The paper's block match picks one winner — the cheapest-in-cycles
 adequate element.  Across many processors and objectives there is no
 single winner: a hand-optimized fixed-point element may cost the
 fewest cycles while the double-precision reference element is three
@@ -18,7 +18,7 @@ non-dominated candidate:
   ordered (ascending cycles, ties by energy, accuracy, element name),
   so serial and parallel sweeps emit byte-identical fronts.
 
-Fronts are *derived*, never cached: the cached ``map_block`` value is
+Fronts are *derived*, never cached: the cached block-match value is
 the platform-priced match list, which depends only on the processor
 spec; energy scoring happens in the calling process on demand, so a
 changed energy model can never be served stale.
@@ -117,9 +117,9 @@ class BlockParetoResult:
 
     ``front`` holds the non-dominated points (see :func:`pareto_front`
     for the ordering guarantee); ``matches`` every adequate match in
-    ``map_block``'s cycles-ascending order, so :attr:`cycles_winner` —
-    the projection the paper's flow uses — reproduces ``map_block``'s
-    scalar winner exactly, tie-breaks included.
+    the block match's cycles-ascending order, so :attr:`cycles_winner`
+    — the projection the paper's flow uses — reproduces the scalar
+    winner exactly, tie-breaks included.
     """
 
     block_name: str
@@ -138,7 +138,7 @@ class BlockParetoResult:
         """Derive the front from a platform-priced match list.
 
         The single construction point for the derived-front contract:
-        both ``map_block_pareto`` and ``MethodologyFlow.sweep`` build
+        both ``MappingSession.pareto`` and ``MethodologyFlow.sweep`` build
         their results here, so their fronts cannot drift apart.
 
         ``measure``, when given, maps each match to its measured
@@ -168,7 +168,7 @@ class BlockParetoResult:
 
     @property
     def cycles_winner(self) -> BlockMatch | None:
-        """The scalar (cycles-only) winner, identical to ``map_block``'s."""
+        """The scalar (cycles-only) winner, identical to ``MappingSession.map``'s."""
         return self.matches[0] if self.matches else None
 
     def point_for(self, element_name: str) -> ParetoPoint:
@@ -210,7 +210,7 @@ def pareto_front(scored: Iterable[ParetoPoint]) -> tuple[ParetoPoint, ...]:
     *non-dominated* candidate and the whole tuple is independent of
     input order — the byte-parity guarantee the sweep tests pin down.
     Note the scalar projection is a separate contract: on an exact
-    (cycles, energy) tie the scalar winner — map_block's name-tiebreak
+    (cycles, energy) tie the scalar winner — the block match's name-tiebreak
     choice — can itself be dominated by a more accurate twin and drop
     off the front; :attr:`BlockParetoResult.cycles_winner` preserves
     the scalar answer regardless.

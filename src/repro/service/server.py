@@ -38,7 +38,7 @@ Request lifecycle, stated once (and documented in
    (:mod:`repro.service.protocol`); malformed input answers 400,
    unknown resources 404, nothing heavy has run yet;
 3. **fingerprint** — the request resolves to the *same* cache key a
-   direct ``map_block`` call builds, digested with
+   direct ``MappingSession.map`` call builds, digested with
    :func:`~repro.mapping.cache.stable_digest`;
 4. **single-flight** — concurrent identical requests coalesce onto one
    in-flight computation (:mod:`repro.service.singleflight`);
@@ -73,7 +73,7 @@ import math
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 
-from repro.api import MappingSession, SessionConfig, default_session
+from repro.api import MappingSession, SessionConfig
 from repro.errors import ServiceError
 from repro.mapping.batch import BatchItem
 from repro.mapping.cache import (SCHEMA_VERSION, fingerprint_block,
@@ -123,16 +123,18 @@ class MappingService:
         (``run_batch(executor=...)``) — one warm pool for the process
         lifetime instead of a fork per request.
     cache_dir:
-        Pins the persistent disk tier for all service work by building
-        the service a private :class:`~repro.api.MappingSession`
-        around that directory — which is how two services in one
-        process can run against different cache dirs with isolated
-        statistics.  ``None`` shares the process default session
-        (``REPRO_CACHE_DIR`` applies).
+        Pins the persistent disk tier for all service work.  Without
+        an explicit ``session`` the service builds its own
+        :class:`~repro.api.MappingSession` from
+        :meth:`~repro.api.SessionConfig.from_env`, so ``None`` lets
+        ``REPRO_CACHE_DIR``/``REPRO_NO_CACHE`` decide — and two
+        services in one process never share statistics.
     session:
         An explicit :class:`~repro.api.MappingSession` to serve with,
         overriding ``cache_dir``.  The one object that owns the
         service's cross-cutting state: cache tiers, catalog, defaults.
+        Passing one session to several services shares its catalog,
+        so blocks are extracted once.
     request_timeout:
         Per-request wall-clock bound, seconds.  Expiry answers ``503``
         with a ``Retry-After`` hint — slow work is shed like overload,
@@ -184,12 +186,12 @@ class MappingService:
         self._listen_socket = listen_socket
         self._handlers: "set[asyncio.Task]" = set()
         self.metrics = MetricsRegistry()
-        if session is not None:
-            self.session = session
-        elif cache_dir is None:
-            self.session = default_session()
-        else:
-            self.session = MappingSession(SessionConfig.from_env(cache_dir=cache_dir))
+        if session is None:
+            # Only a given directory is passed: from_env(cache_dir=None)
+            # would override REPRO_CACHE_DIR with None.
+            overrides = {} if cache_dir is None else {"cache_dir": cache_dir}
+            session = MappingSession(SessionConfig.from_env(**overrides))
+        self.session = session
         self.catalog = self.session.catalog
         self.flight = SingleFlight()
         self._routes = {"/healthz": ("GET", self._get_health),
@@ -544,8 +546,8 @@ class MappingService:
 
     def _map_key(self, request: MapRequest):
         """``(cache key, block, library, platform)`` for one map or
-        pareto request — the same key a direct ``map_block`` call
-        builds, shared by the single-flight layer and the fleet's
+        pareto request — the same key a direct ``MappingSession.map``
+        call builds, shared by the single-flight layer and the fleet's
         shard router (both digest it with ``stable_digest``)."""
         block = self.catalog.block(request.block, request.workload)
         library = self.catalog.library(request.library)

@@ -1,11 +1,13 @@
 """Shared fixtures and builders for the session-facade test suite."""
 
+import functools
+
 import pytest
 
+import repro.cli
+from repro.api import MappingSession
 from repro.frontend.extract import TargetBlock
 from repro.library import Library, LibraryElement
-from repro.mapping import clear_mapping_caches
-from repro.mapping.cache import DEFAULT_TIERS
 from repro.platform import OperationTally
 from repro.symalg import Polynomial
 
@@ -38,19 +40,9 @@ def tiny_library() -> Library:
 
 
 @pytest.fixture
-def isolated_cache_env(monkeypatch):
-    """Cold process-wide caches, default disk tier off, env knobs unset.
-
-    The session-suite twin of the mapping suite's fixture, built on the
-    non-deprecated `CacheTiers` API.  Session-private tiers need no
-    isolation (that is the point of sessions); this only pins the
-    *default* tiers the legacy entry points and `default_session` use.
-    """
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_WORKERS", raising=False)
-    DEFAULT_TIERS.configure(None)
-    clear_mapping_caches()
-    yield
-    clear_mapping_caches()
-    DEFAULT_TIERS.configure(follow_env=True)
+def cli_reuses_extraction(monkeypatch, mp3_blocks):
+    """CLI invocations build their sessions as usual (config from the
+    environment and ``--cache-dir``) but over the run's one MP3
+    extraction, instead of re-running the frontend per call (~1 s)."""
+    monkeypatch.setattr(repro.cli, "MappingSession",
+                        functools.partial(MappingSession, blocks=mp3_blocks))

@@ -9,7 +9,7 @@ from repro.cli import _parse_tags, build_parser, main
 
 
 @pytest.fixture(autouse=True)
-def _isolated(isolated_cache_env):
+def _isolated(isolated_cache_env, cli_reuses_extraction):
     yield
 
 
@@ -33,12 +33,10 @@ class TestMapCommand:
         assert "fixed_IMDCT" in out
         assert "library   LM+IH" in out
 
-    def test_json_output_is_the_session_wire_format(self, capsys):
-        from repro.api import default_session
-
+    def test_json_output_is_the_session_wire_format(self, capsys, fresh_session):
         assert main(["map", "inv_mdctL", "--library", "LM+IH", "--json"]) == 0
         out = capsys.readouterr().out.strip()
-        expected = default_session().map("inv_mdctL", ("LM", "IH")).to_json()
+        expected = fresh_session.map("inv_mdctL", ("LM", "IH")).to_json()
         assert out.encode("ascii") == expected
 
     def test_unknown_block_is_exit_2_with_stderr(self, capsys):
@@ -51,6 +49,23 @@ class TestMapCommand:
         argv = ["map", "inv_mdctL", "--library", "lm_ih", "--cache-dir", str(cache)]
         assert main(argv) == 0
         assert (cache / "mapping_cache.sqlite").exists()
+        capsys.readouterr()
+
+
+class TestEnvironmentCacheDir:
+    """Without ``--cache-dir`` the session comes from the environment."""
+
+    def test_repro_cache_dir_receives_the_store(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert main(["map", "inv_mdctL"]) == 0
+        assert (tmp_path / "mapping_cache.sqlite").exists()
+        capsys.readouterr()
+
+    def test_repro_no_cache_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        assert main(["map", "inv_mdctL"]) == 0
+        assert list(tmp_path.iterdir()) == []
         capsys.readouterr()
 
 
@@ -80,13 +95,11 @@ class TestVerifyCommand:
         assert "band      full" in out
         assert "snr" in out
 
-    def test_json_output_is_the_session_wire_format(self, capsys):
-        from repro.api import default_session
-
+    def test_json_output_is_the_session_wire_format(self, capsys, fresh_session):
         assert main(["verify", "inv_mdctL", "--library", "LM+IH",
                      "--json"]) == 0
         out = capsys.readouterr().out.strip()
-        expected = default_session().verify("inv_mdctL", ("LM", "IH"))
+        expected = fresh_session.verify("inv_mdctL", ("LM", "IH"))
         assert out.encode("ascii") == expected.to_json()
 
     def test_unmapped_block_still_exits_zero(self, capsys):

@@ -1,11 +1,15 @@
-"""The acceptance criterion, end to end: session vs legacy vs CLI vs
-service answers for the same request are byte-identical."""
+"""The acceptance criterion, end to end: session vs CLI vs service
+answers for the same request are byte-identical.
+
+The service and the session each own their tiers (over one shared
+block extraction) and the CLI builds its own session per invocation,
+so every surface computes its answer independently.
+"""
 
 import pytest
 
-from repro.api import MapRequest, MapResult, default_session
+from repro.api import MappingSession, SessionConfig
 from repro.cli import main
-from repro.mapping import map_block
 from repro.service import MappingService, ServiceClient, ServiceThread
 
 #: The request every surface answers: the paper's IMDCT block against
@@ -16,12 +20,24 @@ _PAYLOAD = {"block": _BLOCK, "library": list(_TAGS)}
 
 
 @pytest.fixture(scope="module")
-def live_service():
-    """One service on the process default session (shared caches)."""
-    with ServiceThread(MappingService(port=0)) as thread:
+def live_service(mp3_blocks):
+    """One service on its own memory-only session."""
+    session = MappingSession(SessionConfig(), blocks=mp3_blocks)
+    with ServiceThread(MappingService(port=0, session=session)) as thread:
         client = ServiceClient(thread.base_url)
         client.wait_healthy()
         yield thread.service, client
+
+
+@pytest.fixture(scope="module")
+def session(mp3_blocks):
+    """The library-code surface: a session separate from the service's."""
+    return MappingSession(SessionConfig(), blocks=mp3_blocks)
+
+
+@pytest.fixture(autouse=True)
+def _cli_sessions(cli_reuses_extraction):
+    yield
 
 
 def _cli_json(capsys, *argv: str) -> bytes:
@@ -30,39 +46,25 @@ def _cli_json(capsys, *argv: str) -> bytes:
 
 
 class TestMapParity:
-    def test_session_cli_service_and_legacy_agree(self, live_service, capsys):
+    def test_session_cli_and_service_agree(self, live_service, session, capsys):
         _service, client = live_service
         status, service_bytes = client.request_bytes("POST", "/v1/map", _PAYLOAD)
         assert status == 200
 
-        session = default_session()
         session_bytes = session.map(_BLOCK, _TAGS).to_json()
         assert session_bytes == service_bytes
 
         cli_bytes = _cli_json(capsys, "map", _BLOCK, "--library", "lm_ih", "--json")
         assert cli_bytes == service_bytes
 
-        block = session.catalog.block(_BLOCK)
-        library = session.catalog.library(_TAGS)
-        platform = session.catalog.platform("SA-1110")
-        with pytest.warns(DeprecationWarning):
-            winner, matches = map_block(block, library, platform, tolerance=1e-6)
-        legacy_bytes = MapResult(
-            request=MapRequest(block=_BLOCK, library=_TAGS),
-            platform=platform,
-            winner=winner,
-            matches=tuple(matches),
-        ).to_json()
-        assert legacy_bytes == service_bytes
-
 
 class TestParetoParity:
-    def test_session_cli_and_service_agree(self, live_service, capsys):
+    def test_session_cli_and_service_agree(self, live_service, session, capsys):
         _service, client = live_service
         status, service_bytes = client.request_bytes("POST", "/v1/pareto", _PAYLOAD)
         assert status == 200
 
-        session_bytes = default_session().pareto(_BLOCK, _TAGS).to_json()
+        session_bytes = session.pareto(_BLOCK, _TAGS).to_json()
         assert session_bytes == service_bytes
 
         cli_bytes = _cli_json(capsys, "pareto", _BLOCK, "--library", "lm+ih", "--json")
@@ -70,13 +72,13 @@ class TestParetoParity:
 
 
 class TestSweepParity:
-    def test_session_cli_and_service_agree(self, live_service, capsys):
+    def test_session_cli_and_service_agree(self, live_service, session, capsys):
         _service, client = live_service
         payload = {"platforms": ["SA-1110"], "blocks": [_BLOCK]}
         status, service_bytes = client.request_bytes("POST", "/v1/sweep", payload)
         assert status == 200
 
-        report = default_session().sweep(platforms=["SA-1110"], blocks=[_BLOCK])
+        report = session.sweep(platforms=["SA-1110"], blocks=[_BLOCK])
         assert report.to_json().encode("ascii") == service_bytes
 
         cli_bytes = _cli_json(
@@ -102,7 +104,7 @@ class TestWorkloadsParity:
 
 class TestNonMp3SweepParity:
     def test_gsm_sweep_session_cli_and_service_agree(self, live_service,
-                                                     capsys):
+                                                     session, capsys):
         """The workload acceptance criterion: a non-MP3 sweep's bytes
         agree across session, CLI and service."""
         _service, client = live_service
@@ -111,8 +113,7 @@ class TestNonMp3SweepParity:
                                                      payload)
         assert status == 200
 
-        report = default_session().sweep(platforms=["SA-1110"],
-                                         workload="gsm_mac")
+        report = session.sweep(platforms=["SA-1110"], workload="gsm_mac")
         assert report.workload == "gsm_mac"
         assert report.to_json().encode("ascii") == service_bytes
 

@@ -5,10 +5,12 @@ import json
 
 import pytest
 
-from repro.api import MappingSession, SessionConfig, default_session
+from repro.api import MappingSession, SessionConfig
 from repro.errors import ServiceError
-from repro.mapping import BatchItem, cache_stats
-from repro.mapping.cache import DEFAULT_TIERS
+from repro.mapping import BatchItem, shared_cache_stats
+from repro.symalg import symbols
+from repro.symalg.gcdtools import _cached_gcd, polynomial_gcd
+from repro.symalg.ideal import SideRelation, _basis_or_explosion, simplify_modulo
 
 from .conftest import tiny_block, tiny_library
 
@@ -178,10 +180,16 @@ class TestSessionIsolation:
         assert stats["disk"]["writes"] == 0
 
     def test_private_sessions_stay_out_of_process_stats(self):
+        """The process-wide surface reports only the shared memo
+        caches; tier traffic stays with the session that made it."""
         session = _session()
-        before = cache_stats()["map_block"]["misses"]
         session.map(tiny_block(), tiny_library())
-        assert cache_stats()["map_block"]["misses"] == before
+        assert sorted(shared_cache_stats()) == [
+            "all_manipulations",
+            "instantiations",
+            "structural_hints",
+        ]
+        assert _session().stats()["map_block"]["misses"] == 0
 
     def test_clear_caches_wipes_an_unopened_disk_store(self, tmp_path):
         """A fresh session (fresh process in real life) pointed at a
@@ -215,13 +223,17 @@ class TestSessionIsolation:
         assert len(b.tiers.disk()) == 1
 
 
-class TestDefaultSession:
-    def test_default_session_is_a_singleton_on_default_tiers(self):
-        session = default_session()
-        assert session is default_session()
-        assert session.tiers is DEFAULT_TIERS
+class TestClearCaches:
+    def test_clear_caches_empties_the_symalg_memos(self):
+        """One call makes the process cold: the Groebner-basis and GCD
+        memos in symalg are cleared along with the mapping caches."""
+        x, y = symbols("x y")
+        polynomial_gcd(x**2 - y**2, x + y)
+        simplify_modulo(x**2 + y, [SideRelation("s", x**2)], ["x", "y", "s"])
+        assert _cached_gcd.cache_info().currsize > 0
+        assert _basis_or_explosion.cache_info().currsize > 0
 
-    def test_default_session_work_shows_in_process_stats(self):
-        before = cache_stats()["map_block"]["misses"]
-        default_session().map(tiny_block(), tiny_library())
-        assert cache_stats()["map_block"]["misses"] == before + 1
+        _session().clear_caches()
+        assert _cached_gcd.cache_info().currsize == 0
+        assert _basis_or_explosion.cache_info().currsize == 0
+        assert all(c["size"] == 0 for c in shared_cache_stats().values())

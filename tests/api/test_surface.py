@@ -31,7 +31,6 @@ EXPECTED_API = [
     "SweepRequest",
     "VerifyResult",
     "canonical_json",
-    "default_session",
 ]
 
 #: The locked public API of ``repro.workload``.
@@ -176,7 +175,3 @@ def test_cli_subcommand_order_is_stable():
         "map", "pareto", "sweep", "verify", "codegen",
         "workloads", "platforms", "cache", "serve",
     ]
-
-
-def test_default_session_is_exported_callable():
-    assert callable(repro.api.default_session)

@@ -1,6 +1,5 @@
 """Lowering to three-address IR: scheduling, CSE, error paths."""
 
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -21,13 +20,11 @@ from repro.workload import workload_named
 
 
 def _mapped(block_name="inv_mdctL"):
-    from repro.mapping.decompose import map_block
+    from repro.api import MappingSession, SessionConfig
 
     block = workload_named("mp3").methodology_blocks()[block_name]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        winner, matches = map_block(block, full_library())
-    return block, winner, matches
+    result = MappingSession(SessionConfig()).map(block, full_library())
+    return block, result.winner, list(result.matches)
 
 
 class TestInstr:

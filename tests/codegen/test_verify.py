@@ -3,7 +3,6 @@
 IMDCT under LM+IH verifies into an ISO 11172-4 band."""
 
 import json
-import warnings
 
 import pytest
 
@@ -22,14 +21,11 @@ from repro.workload.registry import default_stimulus
 
 
 def _mapped(block_name="inv_mdctL", tags=("LM", "IH")):
-    from repro.api import ResourceCatalog
-    from repro.mapping.decompose import map_block
+    from repro.api import MappingSession, SessionConfig
 
     block = workload_named("mp3").methodology_blocks()[block_name]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        winner, matches = map_block(block, ResourceCatalog().library(tags))
-    return block, winner, matches
+    result = MappingSession(SessionConfig()).map(block, tags)
+    return block, result.winner, list(result.matches)
 
 
 def _unregistered_block():

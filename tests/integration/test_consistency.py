@@ -88,11 +88,12 @@ class TestAccuracyChain:
 
 class TestDecomposeVsBlockMatchAgreement:
     def test_scalar_and_block_paths_price_identically(self, platform):
-        """The same element priced via decompose and via map_block."""
-        from repro.mapping import map_block
+        """The same element priced via decompose and via the block match."""
+        from repro.api import MappingSession, SessionConfig
         from repro.mapping.flow import _imdct_block
         library = full_library()
-        winner, matches = map_block(_imdct_block(), library, platform)
+        result = MappingSession(SessionConfig()).map(_imdct_block(), library,
+                                                    platform)
         cycles = {m.element.name: platform.cost_model.cycles(m.element.cost)
-                  for m in matches}
-        assert cycles[winner.element.name] == min(cycles.values())
+                  for m in result.matches}
+        assert cycles[result.winner.element.name] == min(cycles.values())

@@ -1,10 +1,6 @@
 """Shared fixtures and builders for the mapping-layer test suite."""
 
-import pytest
-
-import repro.mapping.cache as cache_mod
 from repro.library import Library, LibraryElement
-from repro.mapping import clear_mapping_caches
 from repro.platform import OperationTally
 from repro.symalg import Polynomial
 
@@ -17,21 +13,3 @@ def demo_mapping_library() -> Library:
         name="sq2y", library="IH", polynomials=(i0 ** 2 - 2 * i1,),
         input_format="q", output_format="q", accuracy=1e-9,
         cost=OperationTally(int_mul=1, int_alu=1))])
-
-
-@pytest.fixture
-def isolated_cache_env(monkeypatch):
-    """Cold in-memory caches, disk tier off, regardless of the host env.
-
-    The one cache-isolation protocol for every mapping test module:
-    drops the env knobs, pins the tier off, clears the LRUs, and
-    restores env-driven configuration afterwards.  Modules opt in with
-    a one-line autouse wrapper so the protocol itself lives here.
-    """
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    cache_mod.DEFAULT_TIERS.configure(None)
-    clear_mapping_caches()
-    yield
-    clear_mapping_caches()
-    cache_mod.DEFAULT_TIERS.configure(follow_env=True)

@@ -3,11 +3,11 @@
 import pytest
 
 import repro.mapping.batch as batch_mod
+from repro.api import MappingSession, SessionConfig
 from repro.library import Library, full_library
 from repro.library.builtin import (inhouse_library, linux_math_library,
                                    reference_library)
-from repro.mapping import (BatchItem, clear_mapping_caches, decompose,
-                           map_block, mapping_cache_stats, run_batch)
+from repro.mapping import BatchItem
 from repro.mapping.flow import _imdct_block, _matrixing_block
 from repro.platform import Badge4
 from repro.symalg import symbols
@@ -52,10 +52,14 @@ def _isolated_caches(isolated_cache_env):
     yield
 
 
+def _session(**config) -> MappingSession:
+    return MappingSession(SessionConfig(**config))
+
+
 class TestSerialBatch:
     def test_results_align_with_submission_order(self):
         items = _work_items()
-        report = run_batch(items, workers=1)
+        report = _session().batch(items, workers=1)
         assert len(report.results) == len(items)
         winner, matches = report.results[0]
         assert winner.element.name == "fixed_IMDCT"
@@ -63,7 +67,7 @@ class TestSerialBatch:
         assert report.results[2].best.element_names() == ["sq2y"]
 
     def test_dedup_by_fingerprint(self):
-        report = run_batch(_work_items(), workers=1)
+        report = _session().batch(_work_items(), workers=1)
         assert report.stats.submitted == 5
         assert report.stats.unique == 4
         assert report.stats.computed == 4
@@ -71,44 +75,46 @@ class TestSerialBatch:
         assert _comparable(report.results[0]) == _comparable(report.results[4])
 
     def test_second_run_is_all_memory_hits(self):
-        run_batch(_work_items(), workers=1)
-        report = run_batch(_work_items(), workers=1)
+        session = _session()
+        session.batch(_work_items(), workers=1)
+        report = session.batch(_work_items(), workers=1)
         assert report.stats.memory_hits == report.stats.unique
         assert report.stats.computed == 0
 
     def test_merges_into_lru_for_direct_calls(self):
-        run_batch(_work_items(), workers=1)
-        before = mapping_cache_stats()["map_block"]["hits"]
+        session = _session()
+        session.batch(_work_items(), workers=1)
+        before = session.stats()["map_block"]["hits"]
         lm_ih = Library.union(reference_library(), linux_math_library(),
                               inhouse_library())
-        map_block(_imdct_block(), lm_ih, PLATFORM)
-        assert mapping_cache_stats()["map_block"]["hits"] == before + 1
+        session.map(_imdct_block(), lm_ih, PLATFORM)
+        assert session.stats()["map_block"]["hits"] == before + 1
 
 
 class TestParallelBatch:
     def test_parallel_equals_serial(self):
         """The acceptance bar: identical winners/costs for every item."""
         items = _work_items()
-        serial = run_batch(items, workers=1)
-        clear_mapping_caches()
-        parallel = run_batch(items, workers=2)
+        serial = _session().batch(items, workers=1)
+        parallel = _session().batch(items, workers=2)
         assert parallel.stats.parallel_jobs > 0
         for s, p in zip(serial.results, parallel.results):
             assert _comparable(s) == _comparable(p)
 
     def test_parallel_results_reach_the_lru(self):
         items = _work_items()
-        run_batch(items, workers=2)
-        report = run_batch(items, workers=2)
+        session = _session()
+        session.batch(items, workers=2)
+        report = session.batch(items, workers=2)
         assert report.stats.memory_hits == report.stats.unique
         # ... and direct (non-batch) calls hit too.
-        result = decompose(x + x ** 3 * y ** 2 - 2 * x * y ** 3,
-                           _demo_library(), PLATFORM)
+        result = session.decompose(x + x ** 3 * y ** 2 - 2 * x * y ** 3,
+                                   _demo_library(), PLATFORM)
         assert result.best.element_names() == ["sq2y"]
-        assert mapping_cache_stats()["decompose"]["hits"] >= 1
+        assert session.stats()["decompose"]["hits"] >= 1
 
     def test_single_cold_item_stays_serial(self):
-        report = run_batch(
+        report = _session().batch(
             [BatchItem.for_target(x ** 2 - 2 * y, _demo_library(),
                                   PLATFORM)], workers=4)
         assert report.stats.serial_jobs == 1
@@ -117,9 +123,10 @@ class TestParallelBatch:
     def test_parallel_results_land_in_the_callers_cache_dir(
             self, tmp_path, monkeypatch):
         """Worker-computed values are merged into the caller's tier by
-        the parent (exactly once — workers never write disk), and the
-        env-configured tier is not touched when cache_dir overrides."""
-        override = tmp_path / "override-tier"
+        the parent (exactly once — workers never write disk), and an
+        env-configured directory is not touched when the config names
+        one."""
+        configured = tmp_path / "configured-tier"
         decoy = tmp_path / "decoy-tier"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(decoy))
         items = [
@@ -127,12 +134,12 @@ class TestParallelBatch:
             BatchItem.for_target(x + x ** 3 * y ** 2 - 2 * x * y ** 3,
                                  _demo_library(), PLATFORM),
         ]
-        report = run_batch(items, workers=2, cache_dir=str(override))
+        session = _session(cache_dir=configured)
+        report = session.batch(items, workers=2)
         assert report.stats.parallel_jobs == 2
-        assert (override / "mapping_cache.sqlite").exists()
+        assert (configured / "mapping_cache.sqlite").exists()
         assert not decoy.exists()
-        from repro.mapping.cache import _tier_at
-        assert _tier_at(str(override)).writes == len(items)  # once each
+        assert session.tiers.disk().writes == len(items)  # once each
 
     def test_unpicklable_item_falls_back_to_serial(self, monkeypatch):
         def refuse(item, lib_blobs):
@@ -143,7 +150,7 @@ class TestParallelBatch:
             BatchItem.for_target(x + x ** 3 * y ** 2 - 2 * x * y ** 3,
                                  _demo_library(), PLATFORM),
         ]
-        report = run_batch(items, workers=2)
+        report = _session().batch(items, workers=2)
         assert report.stats.pickle_fallbacks == 2
         assert report.stats.serial_jobs == 2
         assert report.results[1].best.element_names() == ["sq2y"]
@@ -173,7 +180,6 @@ class TestFlowIntegration:
         from repro.mp3 import make_stream
         stream = make_stream(n_frames=1, seed=7)
         serial = MethodologyFlow().run_passes(stream)
-        clear_mapping_caches()
         parallel = MethodologyFlow(workers=2).run_passes(stream)
         for s, p in zip(serial.passes, parallel.passes):
             assert s.chosen_elements == p.chosen_elements

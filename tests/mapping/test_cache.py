@@ -1,16 +1,21 @@
 """Tests for the mapping-layer memoization (repro.mapping.cache)."""
 
+import dataclasses
+import math
+
 import pytest
 
+from repro.api import MappingSession, SessionConfig
+from repro.frontend.extract import TargetBlock
 from repro.library import Library, LibraryElement
-from repro.mapping import (clear_mapping_caches, decompose,
-                           fingerprint_library, fingerprint_platform,
-                           map_block, mapping_cache_stats)
+from repro.mapping import fingerprint_library, fingerprint_platform
 from repro.mapping.cache import (LRUCache, fingerprint_element,
-                                 fingerprint_tally)
+                                 fingerprint_tally, stable_digest)
+from repro.mapping.decompose import _map_block_key
 from repro.mapping.flow import _imdct_block
 from repro.library.builtin import full_library
 from repro.platform import Badge4, OperationTally
+from repro.platform.processor import SA1110, ProcessorSpec
 from repro.symalg import Polynomial, symbols
 
 x, y = symbols("x y")
@@ -26,11 +31,8 @@ def _demo_library(cost_mul=1):
         cost=OperationTally(int_mul=cost_mul, int_alu=1))])
 
 
-@pytest.fixture(autouse=True)
-def _fresh_caches():
-    clear_mapping_caches()
-    yield
-    clear_mapping_caches()
+def _session() -> MappingSession:
+    return MappingSession(SessionConfig())
 
 
 class TestLRUCache:
@@ -102,32 +104,125 @@ class TestFingerprints:
         assert fingerprint_platform(Badge4()) == fingerprint_platform(Badge4())
 
 
+_IN0, _IN1 = Polynomial.variable("in0"), Polynomial.variable("in1")
+_ELEMENT = LibraryElement(
+    name="sq2y", library="IH", polynomials=(_IN0 ** 2 - 2 * _IN1,),
+    input_format="q", output_format="q", accuracy=1e-9,
+    cost=OperationTally(int_mul=1, int_alu=1))
+_BLOCK = TargetBlock(name="blk", outputs={"o": x ** 2 - 2 * y},
+                     input_variables=("x", "y"))
+_BASES = {"element": _ELEMENT, "spec": SA1110, "block": _BLOCK}
+
+#: One changed value per field the mapper reads.
+_READ = {
+    "element": {
+        "name": "sq2y_b",
+        "library": "IPP",
+        "polynomials": (_IN0 ** 2 - 3 * _IN1,),
+        "input_format": "s16",
+        "output_format": "q5.26",
+        "accuracy": 1e-6,
+        "cost": OperationTally(int_mul=2, int_alu=1),
+    },
+    "spec": {
+        "name": "SA-1110b",
+        "clock_hz": SA1110.clock_hz / 2,
+        "has_fpu": not SA1110.has_fpu,
+        "cycle_costs": {**SA1110.cycle_costs, "int_mul": 9.0},
+        "libm_costs": {**SA1110.libm_costs, "pow": 1.0},
+        "libm_default": SA1110.libm_default + 1,
+    },
+    "block": {
+        "name": "blk_b",
+        "outputs": {"o": x ** 2 - 3 * y},
+        "input_variables": ("y", "x"),
+    },
+}
+#: One changed value per field the mapper deliberately never reads.
+_IGNORED = {
+    "element": {"kernel": len, "description": "prose"},
+    "spec": {"description": "prose"},
+    "block": {"expressions": {"o": None}},
+}
+
+
+def _key(element=_ELEMENT, spec=SA1110, block=_BLOCK) -> tuple:
+    library = Library("lib", [element])
+    return _map_block_key(block, library, Badge4(processor=spec),
+                          1e-6, math.inf)
+
+
+def _variant(part: str, field: str, value) -> tuple:
+    return _key(**{part: dataclasses.replace(_BASES[part], **{field: value})})
+
+
+class TestFingerprintSoundness:
+    """Changing any one field the mapper reads changes both the map key
+    and its stable digest; fields it never reads change neither.  The
+    field lists are checked against the dataclasses, so a new field
+    cannot slip past the fingerprint unnoticed."""
+
+    @pytest.mark.parametrize("part, cls", [
+        ("element", LibraryElement),
+        ("spec", ProcessorSpec),
+        ("block", TargetBlock),
+    ])
+    def test_every_field_is_read_or_deliberately_ignored(self, part, cls):
+        fields = {f.name for f in dataclasses.fields(cls)}
+        assert fields == set(_READ[part]) | set(_IGNORED[part])
+
+    @pytest.mark.parametrize("part, field, value", [
+        (part, field, value)
+        for part, changes in _READ.items()
+        for field, value in changes.items()
+    ])
+    def test_changing_a_read_field_changes_key_and_digest(
+            self, part, field, value):
+        changed = _variant(part, field, value)
+        assert changed != _key()
+        assert stable_digest(changed) != stable_digest(_key())
+
+    @pytest.mark.parametrize("part, field, value", [
+        (part, field, value)
+        for part, changes in _IGNORED.items()
+        for field, value in changes.items()
+    ])
+    def test_changing_an_ignored_field_keeps_the_key(self, part, field, value):
+        same = _variant(part, field, value)
+        assert same == _key()
+        assert stable_digest(same) == stable_digest(_key())
+
+
 class TestDecomposeMemoization:
     TARGET = x + x ** 3 * y ** 2 - 2 * x * y ** 3
 
     def test_repeat_is_a_hit_even_with_rebuilt_library(self):
-        first = decompose(self.TARGET, _demo_library(), PLATFORM)
-        second = decompose(self.TARGET, _demo_library(), PLATFORM)
+        session = _session()
+        first = session.decompose(self.TARGET, _demo_library(), PLATFORM)
+        second = session.decompose(self.TARGET, _demo_library(), PLATFORM)
         assert second is first
-        assert mapping_cache_stats()["decompose"]["hits"] == 1
+        assert session.stats()["decompose"]["hits"] == 1
 
     def test_different_knobs_miss(self):
-        decompose(self.TARGET, _demo_library(), PLATFORM)
-        decompose(self.TARGET, _demo_library(), PLATFORM, max_depth=2)
-        stats = mapping_cache_stats()["decompose"]
+        session = _session()
+        session.decompose(self.TARGET, _demo_library(), PLATFORM)
+        session.decompose(self.TARGET, _demo_library(), PLATFORM, max_depth=2)
+        stats = session.stats()["decompose"]
         assert stats["misses"] == 2
         assert stats["hits"] == 0
 
     def test_changed_element_cost_misses(self):
-        a = decompose(self.TARGET, _demo_library(cost_mul=1), PLATFORM)
-        b = decompose(self.TARGET, _demo_library(cost_mul=9), PLATFORM)
+        session = _session()
+        a = session.decompose(self.TARGET, _demo_library(cost_mul=1), PLATFORM)
+        b = session.decompose(self.TARGET, _demo_library(cost_mul=9), PLATFORM)
         assert b is not a
-        assert mapping_cache_stats()["decompose"]["misses"] == 2
+        assert session.stats()["decompose"]["misses"] == 2
 
     def test_clear_forces_recompute(self):
-        first = decompose(self.TARGET, _demo_library(), PLATFORM)
-        clear_mapping_caches()
-        second = decompose(self.TARGET, _demo_library(), PLATFORM)
+        session = _session()
+        first = session.decompose(self.TARGET, _demo_library(), PLATFORM)
+        session.clear_caches()
+        second = session.decompose(self.TARGET, _demo_library(), PLATFORM)
         assert second is not first
         assert second.best.element_names() == first.best.element_names()
         assert second.best.total_cycles == first.best.total_cycles
@@ -135,18 +230,20 @@ class TestDecomposeMemoization:
 
 class TestMapBlockMemoization:
     def test_block_hit_returns_equal_winner_and_fresh_list(self):
+        session = _session()
         block = _imdct_block()
         library = full_library()
-        w1, m1 = map_block(block, library, PLATFORM)
-        w2, m2 = map_block(block, library, PLATFORM)
-        assert w2 is w1
-        assert m2 == m1
-        assert m2 is not m1     # callers may sort/extend their copy
-        assert mapping_cache_stats()["map_block"]["hits"] == 1
+        first = session.map(block, library, PLATFORM)
+        second = session.map(block, library, PLATFORM)
+        assert second.winner is first.winner
+        assert second.matches == first.matches
+        assert session.stats()["map_block"]["hits"] == 1
 
     def test_no_match_is_cached_too(self):
+        session = _session()
         block = _imdct_block()
         empty = Library("empty")
-        assert map_block(block, empty, PLATFORM) == (None, [])
-        assert map_block(block, empty, PLATFORM) == (None, [])
-        assert mapping_cache_stats()["map_block"]["hits"] == 1
+        for _ in range(2):
+            result = session.map(block, empty, PLATFORM)
+            assert (result.winner, result.matches) == (None, ())
+        assert session.stats()["map_block"]["hits"] == 1

@@ -3,9 +3,10 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import MappingSession, SessionConfig
 from repro.library import Library, LibraryElement, full_library
-from repro.mapping import (all_manipulations, decompose, map_block,
-                           residual_cost, structural_hints)
+from repro.mapping import (all_manipulations, decompose, residual_cost,
+                           structural_hints)
 from repro.platform import Badge4, OperationTally
 from repro.symalg import Polynomial, symbols
 
@@ -128,17 +129,21 @@ class TestBounding:
 
 
 class TestSemanticEquivalence:
-    @settings(max_examples=15, deadline=None)
-    @given(st.integers(-5, 5), st.integers(-5, 5))
-    def test_mapped_program_agrees_with_target(self, px, py):
+    def test_mapped_program_agrees_with_target(self):
         from repro.mapping import rewrite
         i0, i1 = in_vars(2)
         lib = Library("demo", [element(i0 ** 2 - 2 * i1, "sq2y")])
         target = x + x ** 3 * y ** 2 - 2 * x * y ** 3
-        result = decompose(target, lib, PLATFORM)
-        program = rewrite(result.best)
-        env = {"x": px, "y": py}
-        assert program.evaluate(env) == target.evaluate(env)
+        program = rewrite(decompose(target, lib, PLATFORM).best)
+
+        # The search runs once; the examples vary only the evaluation point.
+        @settings(max_examples=15, deadline=None)
+        @given(st.integers(-5, 5), st.integers(-5, 5))
+        def agrees(px, py):
+            env = {"x": px, "y": py}
+            assert program.evaluate(env) == target.evaluate(env)
+
+        agrees()
 
 
 class TestCandidates:
@@ -158,12 +163,16 @@ class TestCandidates:
         assert any(h == x ** 2 - 2 * y for h in hints)
 
 
+def _map(block, library):
+    return MappingSession(SessionConfig()).map(block, library, PLATFORM)
+
+
 class TestBlockMapping:
     def test_imdct_block_selects_ipp(self):
         from repro.mapping.flow import _imdct_block
-        winner, matches = map_block(_imdct_block(), full_library(), PLATFORM)
-        assert winner.element.name == "IppsMDCTInv_MP3_32s"
-        assert {m.element.name for m in matches} == {
+        result = _map(_imdct_block(), full_library())
+        assert result.winner.element.name == "IppsMDCTInv_MP3_32s"
+        assert {m.element.name for m in result.matches} == {
             "IppsMDCTInv_MP3_32s", "fixed_IMDCT", "float_IMDCT"}
 
     def test_imdct_block_without_ipp_selects_fixed(self):
@@ -174,17 +183,16 @@ class TestBlockMapping:
         from repro.mapping.flow import _imdct_block
         lib = Lib.union(reference_library(), linux_math_library(),
                         inhouse_library())
-        winner, _ = map_block(_imdct_block(), lib, PLATFORM)
-        assert winner.element.name == "fixed_IMDCT"
+        assert _map(_imdct_block(), lib).winner.element.name == "fixed_IMDCT"
 
     def test_matrixing_block_selects_ipp_synth(self):
         from repro.mapping.flow import _matrixing_block
-        winner, _ = map_block(_matrixing_block(), full_library(), PLATFORM)
+        winner = _map(_matrixing_block(), full_library()).winner
         assert winner.element.name == "ippsSynthPQMF_MP3_32s16s"
 
     def test_no_match_returns_none(self):
         from repro.mapping.flow import _imdct_block
         empty = Library("empty")
-        winner, matches = map_block(_imdct_block(), empty, PLATFORM)
-        assert winner is None
-        assert matches == []
+        result = _map(_imdct_block(), empty)
+        assert result.winner is None
+        assert result.matches == ()

@@ -15,10 +15,9 @@ import pytest
 
 import repro
 import repro.mapping.cache as cache_mod
+from repro.api import MappingSession, SessionConfig
 from repro.frontend.extract import TargetBlock
 from repro.library import Library, LibraryElement
-from repro.mapping import (cache_stats, clear_all, clear_mapping_caches,
-                           decompose, map_block)
 from repro.mapping.cache import DiskCache, stable_digest
 from repro.platform import Badge4, OperationTally, ProcessorSpec
 from repro.symalg import Polynomial, symbols
@@ -36,6 +35,10 @@ from .conftest import demo_mapping_library as _demo_library
 @pytest.fixture(autouse=True)
 def _isolated(isolated_cache_env):
     yield
+
+
+def _session(cache_dir) -> MappingSession:
+    return MappingSession(SessionConfig(cache_dir=cache_dir))
 
 
 class TestStableDigest:
@@ -119,54 +122,53 @@ class TestDiskCacheStore:
 
 class TestDecomposeThroughTheTier:
     def test_write_through_and_promotion(self, tmp_path):
-        tier = cache_mod.configure(tmp_path)
-        first = decompose(TARGET, _demo_library(), PLATFORM)
+        session = _session(tmp_path)
+        tier = session.tiers.disk()
+        first = session.decompose(TARGET, _demo_library(), PLATFORM)
         assert tier.writes == 1
-        clear_mapping_caches()                 # memory cold, disk warm
-        second = decompose(TARGET, _demo_library(), PLATFORM)
+        session.tiers.clear_memory()           # memory cold, disk warm
+        second = session.decompose(TARGET, _demo_library(), PLATFORM)
         assert tier.hits == 1
         assert second.best.element_names() == first.best.element_names()
         assert second.best.total_cycles == first.best.total_cycles
         # Promoted into the LRU: a third call never touches the disk.
-        decompose(TARGET, _demo_library(), PLATFORM)
+        session.decompose(TARGET, _demo_library(), PLATFORM)
         assert tier.hits == 1
 
-    def test_per_call_cache_dir_override(self, tmp_path):
-        decompose(TARGET, _demo_library(), PLATFORM,
-                  cache_dir=str(tmp_path))
+    def test_configured_cache_dir_receives_the_store(self, tmp_path):
+        _session(tmp_path).decompose(TARGET, _demo_library(), PLATFORM)
         assert (tmp_path / "mapping_cache.sqlite").exists()
 
     def test_no_cache_env_wins(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        cache_mod.configure(tmp_path)
-        decompose(TARGET, _demo_library(), PLATFORM,
-                  cache_dir=str(tmp_path))
+        MappingSession().decompose(TARGET, _demo_library(), PLATFORM)
         assert not (tmp_path / "mapping_cache.sqlite").exists()
 
     def test_corrupted_tier_still_computes(self, tmp_path):
         (tmp_path / "mapping_cache.sqlite").write_bytes(b"junk")
-        result = decompose(TARGET, _demo_library(), PLATFORM,
-                           cache_dir=str(tmp_path))
+        result = _session(tmp_path).decompose(TARGET, _demo_library(),
+                                              PLATFORM)
         assert result.best.element_names() == ["sq2y"]
 
     def test_cache_stats_reports_the_tier(self, tmp_path):
-        cache_mod.configure(tmp_path)
-        decompose(TARGET, _demo_library(), PLATFORM)
-        clear_mapping_caches()
-        decompose(TARGET, _demo_library(), PLATFORM)
-        disk = cache_stats()["disk"]
+        session = _session(tmp_path)
+        session.decompose(TARGET, _demo_library(), PLATFORM)
+        session.tiers.clear_memory()
+        session.decompose(TARGET, _demo_library(), PLATFORM)
+        disk = session.stats()["disk"]
         assert disk["enabled"]
         assert disk["hits"] == 1
         assert 0.0 < disk["hit_rate"] <= 1.0
 
-    def test_clear_all_clears_the_disk_tier_too(self, tmp_path):
-        tier = cache_mod.configure(tmp_path)
-        decompose(TARGET, _demo_library(), PLATFORM)
+    def test_clear_caches_clears_the_disk_tier_too(self, tmp_path):
+        session = _session(tmp_path)
+        tier = session.tiers.disk()
+        session.decompose(TARGET, _demo_library(), PLATFORM)
         assert tier.path.exists()
-        clear_all()
+        session.clear_caches()
         assert not tier.path.exists()
-        clear_mapping_caches()
-        decompose(TARGET, _demo_library(), PLATFORM)
+        session.decompose(TARGET, _demo_library(), PLATFORM)
         assert tier.hits == 0                  # truly cold again
 
 
@@ -207,49 +209,52 @@ class TestPlatformIdentityInvalidation:
     table (or a schema bump) can never serve a stale cached winner."""
 
     def test_changed_cost_table_never_serves_stale_winner(self, tmp_path):
-        tier = cache_mod.configure(tmp_path)
+        session = _session(tmp_path)
+        tier = session.tiers.disk()
         block, library = _mac_block(), _rival_library()
 
         cheap_mac = Badge4(processor=_spec("core-v1"))
-        winner, _ = map_block(block, library, cheap_mac)
+        winner = session.map(block, library, cheap_mac).winner
         assert winner.element.name == "mac_style"
         assert tier.writes == 1
 
         # Same processor name, edited table: the MAC is now punitive.
         # A platform fingerprint that ignored the table would hit the
         # stale entry and keep the mac_style winner.
-        clear_mapping_caches()
+        session.tiers.clear_memory()
         dear_mac = Badge4(processor=_spec("core-v1", int_mac=10000.0,
                                           fp_add=1.0))
-        winner2, _ = map_block(block, library, dear_mac)
+        winner2 = session.map(block, library, dear_mac).winner
         assert winner2.element.name == "fp_style"
         assert tier.writes == 2                # recomputed, not served
 
         # Both entries now coexist; each table still gets its own.
-        clear_mapping_caches()
-        again, _ = map_block(block, library, cheap_mac)
+        session.tiers.clear_memory()
+        again = session.map(block, library, cheap_mac).winner
         assert again.element.name == "mac_style"
         assert tier.writes == 2                # served from disk this time
 
     def test_schema_bump_never_serves_stale_winner(self, tmp_path,
                                                    monkeypatch):
-        tier = cache_mod.configure(tmp_path)
+        session = _session(tmp_path)
+        tier = session.tiers.disk()
         block, library = _mac_block(), _rival_library()
         platform = Badge4(processor=_spec("core-v1"))
 
-        map_block(block, library, platform)
+        session.map(block, library, platform)
         assert tier.writes == 1
-        clear_mapping_caches()
+        session.tiers.clear_memory()
         monkeypatch.setattr(cache_mod, "SCHEMA_VERSION",
                             cache_mod.SCHEMA_VERSION + 1)
-        winner, _ = map_block(block, library, platform)
+        winner = session.map(block, library, platform).winner
         assert winner.element.name == "mac_style"
         assert tier.hits == 0                  # old-world entry invisible
         assert tier.writes == 2                # recomputed and re-stored
 
 
-#: Runs the demo decomposition in a fresh interpreter.  When EXPECT_WARM
-#: is set, the uncached search is booby-trapped: only a disk hit can
+#: Runs the demo decomposition in a fresh interpreter, on a bare session
+#: that takes its disk tier from REPRO_CACHE_DIR.  When EXPECT_WARM is
+#: set, the uncached search is booby-trapped: only a disk hit can
 #: produce a result, proving a second process skips decompose entirely.
 _SUBPROCESS_SCRIPT = """
 import os, sys
@@ -258,9 +263,8 @@ if os.environ.get("EXPECT_WARM"):
     def boom(*args, **kwargs):
         raise SystemExit("cold decompose ran despite a warm disk tier")
     dec._decompose_uncached = boom
+from repro.api import MappingSession
 from repro.library import Library, LibraryElement
-from repro.mapping import decompose
-from repro.mapping.cache import cache_stats
 from repro.platform import Badge4, OperationTally
 from repro.symalg import Polynomial, symbols
 x, y = symbols("x y")
@@ -269,10 +273,11 @@ library = Library("demo", [LibraryElement(
     name="sq2y", library="IH", polynomials=(i0**2 - 2*i1,),
     input_format="q", output_format="q", accuracy=1e-9,
     cost=OperationTally(int_mul=1, int_alu=1))])
-result = decompose(x + x**3*y**2 - 2*x*y**3, library, Badge4())
+session = MappingSession()
+result = session.decompose(x + x**3*y**2 - 2*x*y**3, library, Badge4())
 print("ELEMENTS", ",".join(result.best.element_names()))
 print("CYCLES", result.best.total_cycles)
-print("DISK_HITS", cache_stats()["disk"]["hits"])
+print("DISK_HITS", session.stats()["disk"]["hits"])
 """
 
 

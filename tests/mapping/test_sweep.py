@@ -9,16 +9,23 @@ with zero computed items.
 
 import pytest
 
+from repro.api import MappingSession, SessionConfig
 from repro.library import (Library, inhouse_library, linux_math_library,
                            reference_library)
 from repro.library.builtin import full_library
 from repro.mapping import (MethodologyFlow, Objectives, ParetoPoint,
-                           clear_mapping_caches, map_block,
-                           map_block_pareto, methodology_blocks,
-                           pareto_front, score_match)
+                           methodology_blocks, pareto_front, score_match)
 from repro.platform import Badge4, platform_named, registered_processors
 
 THREE_PLATFORMS = ("SA-1110", "ARM926", "DSP")
+
+
+def _session(**config) -> MappingSession:
+    return MappingSession(SessionConfig(**config))
+
+
+def _pareto(block, library):
+    return _session().pareto(block, library, Badge4()).result
 
 
 @pytest.fixture(autouse=True)
@@ -67,29 +74,29 @@ class TestObjectives:
 
 class TestMapBlockPareto:
     def test_front_carries_all_three_objectives(self, blocks, lm_ih):
-        result = map_block_pareto(blocks["inv_mdctL"], lm_ih, Badge4())
+        result = _pareto(blocks["inv_mdctL"], lm_ih)
         assert result.front
         for point in result.front:
             o = point.objectives
             assert o.cycles > 0 and o.energy_j > 0 and o.accuracy > 0
 
     def test_front_is_mutually_non_dominated(self, blocks, lm_ih):
-        result = map_block_pareto(blocks["inv_mdctL"], lm_ih, Badge4())
+        result = _pareto(blocks["inv_mdctL"], lm_ih)
         for p in result.front:
             for q in result.front:
                 assert not p.objectives.dominates(q.objectives) or p is q
 
     def test_cycles_winner_equals_scalar_map_block(self, blocks, lm_ih):
-        pareto = map_block_pareto(blocks["inv_mdctL"], lm_ih, Badge4())
-        winner, matches = map_block(blocks["inv_mdctL"], lm_ih, Badge4())
-        assert pareto.cycles_winner.element.name == winner.element.name
-        assert pareto.matches == tuple(matches)
+        session = _session()
+        pareto = session.pareto(blocks["inv_mdctL"], lm_ih, Badge4())
+        scalar = session.map(blocks["inv_mdctL"], lm_ih, Badge4())
+        assert pareto.cycles_winner.element.name == scalar.winner.element.name
+        assert pareto.result.matches == scalar.matches
 
     def test_accuracy_tradeoff_survives_on_the_front(self, blocks):
         """The double-precision REF element is never dominated: it is
         slower but orders of magnitude more accurate."""
-        result = map_block_pareto(blocks["inv_mdctL"], full_library(),
-                                  Badge4())
+        result = _pareto(blocks["inv_mdctL"], full_library())
         names = {p.element_name for p in result.front}
         assert "IppsMDCTInv_MP3_32s" in names     # fewest cycles
         assert "float_IMDCT" in names             # best accuracy
@@ -97,8 +104,9 @@ class TestMapBlockPareto:
 
     def test_tied_scalar_winner_may_be_dominated_off_the_front(self):
         """On an exact (cycles, energy) tie the scalar winner keeps
-        map_block's name-tiebreak answer while the front keeps only the
-        more accurate twin — two contracts, both deterministic."""
+        the block match's name-tiebreak answer while the front keeps
+        only the more accurate twin — two contracts, both
+        deterministic."""
         from repro.frontend.extract import TargetBlock
         from repro.library import LibraryElement
         from repro.platform import OperationTally
@@ -116,12 +124,12 @@ class TestMapBlockPareto:
 
         library = Library("ties", [element("a_coarse", 1e-3),
                                    element("b_exact", 1e-9)])
-        result = map_block_pareto(block, library, Badge4())
+        result = _pareto(block, library)
         assert result.cycles_winner.element.name == "a_coarse"
         assert [p.element_name for p in result.front] == ["b_exact"]
 
     def test_score_match_uses_the_platform_energy_model(self, blocks, lm_ih):
-        _w, matches = map_block(blocks["inv_mdctL"], lm_ih, Badge4())
+        matches = _session().map(blocks["inv_mdctL"], lm_ih, Badge4()).matches
         sa = score_match(matches[0], platform_named("SA-1110"))
         dsp = score_match(matches[0], platform_named("DSP"))
         assert sa.energy_j != dsp.energy_j
@@ -143,11 +151,12 @@ class TestSweep:
         report = MethodologyFlow().sweep(platforms=["SA-1110"])
         blocks = methodology_blocks()
         platform = Badge4()
+        session = _session()
         for entry in report.entries:
             library = next(lib for lib in _ladder()
                            if lib.name == entry.library)
-            winner, _ = map_block(blocks[entry.block], library, platform,
-                                  tolerance=1e-6)
+            winner = session.map(blocks[entry.block], library, platform,
+                                 tolerance=1e-6).winner
             assert entry.winner_name == winner.element.name
 
     def test_full_pass_winners_match_the_flow_tables(self):
@@ -200,17 +209,18 @@ class TestSweepParity:
     def test_parallel_sweep_byte_identical_to_serial(self):
         serial = MethodologyFlow(workers=None).sweep(
             platforms=list(THREE_PLATFORMS))
-        clear_mapping_caches()
         parallel = MethodologyFlow(workers=4).sweep(
             platforms=list(THREE_PLATFORMS))
         assert parallel.to_json().encode() == serial.to_json().encode()
 
     def test_warm_disk_cache_resolves_repeat_sweep_with_zero_computed(
-            self, tmp_path):
-        flow = MethodologyFlow(cache_dir=str(tmp_path))
+            self, tmp_path, blocks):
+        session = MappingSession(SessionConfig(cache_dir=tmp_path),
+                                 blocks=blocks)
+        flow = session.flow()
         cold = flow.sweep(platforms=list(THREE_PLATFORMS))
         assert cold.stats.computed == cold.stats.unique > 0
-        clear_mapping_caches()                 # memory cold, disk warm
+        session.tiers.clear_memory()           # memory cold, disk warm
         warm = flow.sweep(platforms=list(THREE_PLATFORMS))
         assert warm.stats.computed == 0
         assert warm.stats.disk_hits == warm.stats.unique

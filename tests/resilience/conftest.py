@@ -10,9 +10,7 @@ import os
 
 import pytest
 
-import repro.mapping.cache as cache_mod
 from repro.library import Library, LibraryElement
-from repro.mapping import clear_mapping_caches
 from repro.platform import OperationTally
 from repro.symalg import Polynomial
 
@@ -21,18 +19,6 @@ from repro.symalg import Polynomial
 def chaos_seed() -> int:
     """The suite-wide fault-plan seed (CI sets REPRO_CHAOS_SEED)."""
     return int(os.environ.get("REPRO_CHAOS_SEED", "0"))
-
-
-@pytest.fixture
-def isolated_caches(monkeypatch):
-    """Cold in-memory caches, disk tier off, regardless of host env."""
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    cache_mod.DEFAULT_TIERS.configure(None)
-    clear_mapping_caches()
-    yield
-    clear_mapping_caches()
-    cache_mod.DEFAULT_TIERS.configure(follow_env=True)
 
 
 def demo_library() -> Library:

@@ -7,7 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import repro.mapping.batch as batch_mod
-from repro.mapping import BatchItem, clear_mapping_caches, run_batch
+from repro.mapping import BatchItem, CacheTiers, run_batch
 from repro.platform import Badge4
 from repro.resilience import FaultPlan, FaultRule
 from repro.symalg import symbols
@@ -27,18 +27,16 @@ def _items():
 
 
 @pytest.fixture(autouse=True)
-def _cold(isolated_caches):
+def _cold(isolated_cache_env):
     yield
 
 
 def _baseline():
-    """Fault-free results to compare every chaos run against.  Clears
-    the memory tier afterwards so the chaos run starts cold and must
-    actually exercise the worker pool."""
-    report = run_batch(_items(), workers=1)
-    names = [r.best.element_names() for r in report.results]
-    clear_mapping_caches()
-    return names
+    """Fault-free results to compare every chaos run against.  Its tiers
+    are private, so the chaos run starts cold and must actually
+    exercise the worker pool."""
+    report = run_batch(_items(), workers=1, tiers=CacheTiers())
+    return [r.best.element_names() for r in report.results]
 
 
 class TestWorkerJobFaults:
@@ -49,7 +47,7 @@ class TestWorkerJobFaults:
         plan = FaultPlan([FaultRule("batch.worker", error=RuntimeError)],
                          seed=chaos_seed)
         with plan.activate():
-            report = run_batch(_items(), workers=2)
+            report = run_batch(_items(), tiers=CacheTiers(), workers=2)
         assert [r.best.element_names() for r in report.results] == expected
         assert report.stats.worker_retries == report.stats.unique
         assert report.stats.serial_jobs == report.stats.unique
@@ -67,7 +65,7 @@ class TestWorkerJobFaults:
                                     error=lambda: os._exit(17))],
                          seed=chaos_seed)
         with plan.activate():
-            report = run_batch(_items(), workers=2)
+            report = run_batch(_items(), tiers=CacheTiers(), workers=2)
         assert [r.best.element_names() for r in report.results] == expected
         assert report.stats.pool_respawns == 1
         assert report.stats.serial_jobs == report.stats.unique
@@ -114,7 +112,7 @@ class TestPoolRespawn:
             return pool
 
         monkeypatch.setattr(batch_mod, "ProcessPoolExecutor", factory)
-        report = run_batch(_items(), workers=2)
+        report = run_batch(_items(), tiers=CacheTiers(), workers=2)
         assert len(pools) == 2
         assert report.stats.pool_respawns == 1
         assert report.stats.parallel_jobs == report.stats.unique
@@ -130,7 +128,7 @@ class TestPoolRespawn:
             return pool
 
         monkeypatch.setattr(batch_mod, "ProcessPoolExecutor", factory)
-        report = run_batch(_items(), workers=2)
+        report = run_batch(_items(), tiers=CacheTiers(), workers=2)
         assert len(pools) == 2                  # respawned exactly once
         assert report.stats.pool_respawns == 1
         assert report.stats.serial_jobs == report.stats.unique
@@ -139,7 +137,7 @@ class TestPoolRespawn:
 
     def test_caller_owned_executor_is_never_respawned(self):
         pool = _DeadPool()
-        report = run_batch(_items(), workers=2, executor=pool)
+        report = run_batch(_items(), tiers=CacheTiers(), workers=2, executor=pool)
         assert report.stats.pool_respawns == 0
         assert report.stats.serial_jobs == report.stats.unique
         assert report.results[0].best.element_names() == ["sq2y"]

@@ -124,9 +124,10 @@ class TestChaosAcceptance:
 
 
 class TestOverload:
-    def test_admission_bound_sheds_429_with_retry_after(self):
+    def test_admission_bound_sheds_429_with_retry_after(self, fresh_session):
         gate = threading.Event()
         service = MappingService(port=0, executor=GatedExecutor(gate),
+                                 session=fresh_session,
                                  max_inflight=1, retry_after_hint=1.0)
         thread = ServiceThread(service)
         thread.__enter__()
@@ -166,11 +167,13 @@ class TestOverload:
 
 
 class TestDrain:
-    def test_drain_sheds_new_work_finishes_old_then_stops(self):
+    def test_drain_sheds_new_work_finishes_old_then_stops(
+            self, fresh_session):
         import asyncio
 
         gate = threading.Event()
         service = MappingService(port=0, executor=GatedExecutor(gate),
+                                 session=fresh_session,
                                  retry_after_hint=2.0)
         thread = ServiceThread(service)
         thread.__enter__()

@@ -5,26 +5,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-import repro.mapping.cache as cache_mod
-from repro.mapping import clear_mapping_caches
+from repro.api import MappingSession, SessionConfig
 from repro.service import MappingService, ServiceClient, ServiceThread
-
-
-@pytest.fixture
-def cold_caches(monkeypatch):
-    """Cold in-memory caches, disk tier off, regardless of host env.
-
-    The service-suite twin of the mapping suite's
-    ``isolated_cache_env``: coalescing tests count cache misses, so
-    they must start from a known-cold, disk-free state.
-    """
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-    cache_mod.DEFAULT_TIERS.configure(None)
-    clear_mapping_caches()
-    yield
-    clear_mapping_caches()
-    cache_mod.DEFAULT_TIERS.configure(follow_env=True)
 
 
 class GatedExecutor(ThreadPoolExecutor):
@@ -49,9 +31,10 @@ class GatedExecutor(ThreadPoolExecutor):
 
 
 @pytest.fixture(scope="module")
-def live_service():
+def live_service(mp3_blocks):
     """One service instance shared by a module's round-trip tests."""
-    with ServiceThread(MappingService(port=0)) as thread:
+    session = MappingSession(SessionConfig(), blocks=mp3_blocks)
+    with ServiceThread(MappingService(port=0, session=session)) as thread:
         client = ServiceClient(thread.base_url)
         client.wait_healthy()
         yield thread.service, client

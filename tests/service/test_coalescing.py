@@ -1,23 +1,28 @@
 """The single-flight acceptance test: N concurrent identical requests
-trigger exactly one computation, proven via ``cache_stats()``."""
+trigger exactly one computation, proven via the session's cache
+statistics."""
 
 import threading
 import time
 
-from repro.mapping import cache_stats
 from repro.service import MappingService, ServiceClient, ServiceThread
 
 from .conftest import GatedExecutor
 
 
-def test_concurrent_identical_requests_compute_once(cold_caches):
+def _lru(service) -> dict:
+    return service.session.stats()["map_block"]
+
+
+def test_concurrent_identical_requests_compute_once(fresh_session):
     n_requests = 6
     gate = threading.Event()
-    service = MappingService(port=0, executor=GatedExecutor(gate))
+    service = MappingService(port=0, executor=GatedExecutor(gate),
+                             session=fresh_session)
     with ServiceThread(service) as thread:
         client = ServiceClient(thread.base_url)
         client.wait_healthy()
-        misses_before = cache_stats()["map_block"]["misses"]
+        misses_before = _lru(service)["misses"]
 
         replies = [None] * n_requests
 
@@ -48,22 +53,23 @@ def test_concurrent_identical_requests_compute_once(cold_caches):
         assert len({body for _status, body in replies}) == 1
         assert service.flight.started == 1
         assert service.flight.coalesced == n_requests - 1
-        assert cache_stats()["map_block"]["misses"] == misses_before + 1
+        assert _lru(service)["misses"] == misses_before + 1
 
         # a follow-up request is a warm cache hit with the same bytes
-        hits_before = cache_stats()["map_block"]["hits"]
+        hits_before = _lru(service)["hits"]
         status, body = client.request_bytes("POST", "/v1/map",
                                             {"block": "inv_mdctL"})
         assert status == 200
         assert body == replies[0][1]
-        assert cache_stats()["map_block"]["hits"] == hits_before + 1
-        assert cache_stats()["map_block"]["misses"] == misses_before + 1
+        assert _lru(service)["hits"] == hits_before + 1
+        assert _lru(service)["misses"] == misses_before + 1
 
 
-def test_distinct_requests_do_not_coalesce(cold_caches):
+def test_distinct_requests_do_not_coalesce(fresh_session):
     gate = threading.Event()
     gate.set()                      # no gating: plain concurrent load
-    service = MappingService(port=0, executor=GatedExecutor(gate))
+    service = MappingService(port=0, executor=GatedExecutor(gate),
+                             session=fresh_session)
     with ServiceThread(service) as thread:
         client = ServiceClient(thread.base_url)
         client.wait_healthy()

@@ -87,14 +87,13 @@ class TestHashRing:
 
 
 @pytest.fixture
-def worker_pair(cold_caches):
+def worker_pair(fresh_session):
     """Two in-process FleetWorkers wired as a 2-slot fleet.
 
     Internal loopback sockets are bound here (the supervisor's job in
     production); each worker runs on its own background loop.  Both
-    share the process-default session, which stands in for the shared
-    disk tier: anything one worker computes, the other's warm peek
-    sees.
+    share one session, which stands in for the shared disk tier:
+    anything one worker computes, the other's warm peek sees.
     """
     internal_sockets = []
     internal_ports = []
@@ -109,6 +108,7 @@ def worker_pair(cold_caches):
             worker = FleetWorker(port=0, worker_index=index,
                                  internal_ports=tuple(internal_ports),
                                  internal_socket=internal_sockets[index],
+                                 session=fresh_session,
                                  strategy="in_process")
             thread = ServiceThread(worker)
             thread.__enter__()

@@ -9,8 +9,9 @@ import urllib.error
 
 import pytest
 
+from repro.api import MappingSession, SessionConfig
 from repro.errors import ServiceError
-from repro.mapping import MethodologyFlow, map_block, map_block_pareto
+from repro.mapping import MethodologyFlow
 from repro.platform.registry import DEFAULT_REGISTRY
 from repro.service import MappingService, ServiceClient, ServiceThread
 
@@ -29,6 +30,12 @@ def _raw_post(service, path: str, body: bytes,
         return response.status, response.read()
     finally:
         conn.close()
+
+
+def _direct_session(service) -> MappingSession:
+    """An independent session over the service's blocks: its own cold
+    tiers compute every answer again."""
+    return MappingSession(SessionConfig(), blocks=service.catalog.blocks())
 
 
 class TestRoundTrips:
@@ -51,26 +58,20 @@ class TestRoundTrips:
         assert response["mapped"] is True
         assert response["winner"] == "IppsMDCTInv_MP3_32s"
 
-        block = service.catalog.block("inv_mdctL")
-        library = service.catalog.library(("REF", "LM", "IH", "IPP"))
-        platform = service.catalog.platform("SA-1110")
-        winner, matches = map_block(block, library, platform,
-                                    tolerance=1e-6)
-        assert response["winner"] == winner.element.name
+        direct = _direct_session(service).map(
+            "inv_mdctL", ("REF", "LM", "IH", "IPP"), "SA-1110")
+        assert response["winner"] == direct.winner.element.name
         assert [m["element"] for m in response["matches"]] == \
-            [m.element.name for m in matches]
-        # matches arrive in map_block's cycles-ascending order
+            [m.element.name for m in direct.matches]
+        # matches arrive in the block match's cycles-ascending order
         cycles = [m["cycles"] for m in response["matches"]]
         assert cycles == sorted(cycles)
 
     def test_pareto_matches_direct_call(self, live_service):
         service, client = live_service
         response = client.pareto("SubBandSynthesis", platform="DSP")
-        block = service.catalog.block("SubBandSynthesis")
-        library = service.catalog.library(("REF", "LM", "IH", "IPP"))
-        result = map_block_pareto(block, library,
-                                  service.catalog.platform("DSP"),
-                                  tolerance=1e-6)
+        result = _direct_session(service).pareto(
+            "SubBandSynthesis", ("REF", "LM", "IH", "IPP"), "DSP").result
         assert [p["element"] for p in response["front"]] == \
             [p.element_name for p in result.front]
         assert response["winner"] == result.cycles_winner.element.name
@@ -265,12 +266,14 @@ class TestErrorPaths:
 
 
 class TestTimeouts:
-    def test_expired_request_timeout_is_503_with_retry_after(self):
+    def test_expired_request_timeout_is_503_with_retry_after(
+            self, fresh_session):
         """A request that outlives ``request_timeout`` is shed like
         overload: 503, a ``Retry-After`` hint on the wire, and the
         usual ``Connection: close`` — never a hung socket."""
         gate = threading.Event()
         service = MappingService(port=0, executor=GatedExecutor(gate),
+                                 session=fresh_session,
                                  request_timeout=0.3, retry_after_hint=2.0)
         thread = ServiceThread(service)
         thread.__enter__()
@@ -314,11 +317,12 @@ class TestClientRetries:
 
 
 class TestGracefulShutdown:
-    def test_shutdown_refuses_new_connections(self, cold_caches):
+    def test_shutdown_refuses_new_connections(self, fresh_session):
         # The client retries connection errors, then wraps the terminal
         # failure in ServiceError — a stopped service surfaces as that,
         # never a raw urllib exception.
-        with ServiceThread(MappingService(port=0)) as thread:
+        with ServiceThread(MappingService(port=0,
+                                          session=fresh_session)) as thread:
             client = ServiceClient(thread.base_url, timeout=10)
             client.wait_healthy()
         with pytest.raises(ServiceError) as excinfo:
@@ -326,10 +330,11 @@ class TestGracefulShutdown:
         assert excinfo.value.status == 503
         assert excinfo.value.attempts
 
-    def test_shutdown_drains_inflight_requests(self, cold_caches):
+    def test_shutdown_drains_inflight_requests(self, fresh_session):
         gate = threading.Event()
         thread = ServiceThread(
-            MappingService(port=0, executor=GatedExecutor(gate)))
+            MappingService(port=0, executor=GatedExecutor(gate),
+                           session=fresh_session))
         thread.__enter__()
         try:
             client = ServiceClient(thread.base_url)
@@ -362,3 +367,25 @@ class TestGracefulShutdown:
             assert json.loads(body)["winner"] == "IppsMDCTInv_MP3_32s"
         finally:
             gate.set()
+
+
+class TestEnvironmentCacheDir:
+    """Without ``cache_dir`` a service builds its session from the
+    environment, exactly like the CLI."""
+
+    def test_repro_cache_dir_receives_the_store(self, isolated_cache_env,
+                                                 monkeypatch, tmp_path,
+                                                 mp3_blocks):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        service = MappingService(port=0)
+        service.session.map(mp3_blocks["inv_mdctL"], ("LM", "IH"))
+        assert (tmp_path / "mapping_cache.sqlite").exists()
+
+    def test_repro_no_cache_writes_nothing(self, isolated_cache_env,
+                                           monkeypatch, tmp_path, mp3_blocks):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        service = MappingService(port=0)
+        service.session.map(mp3_blocks["inv_mdctL"], ("LM", "IH"))
+        assert service.session.tiers.disk() is None
+        assert list(tmp_path.iterdir()) == []

@@ -24,10 +24,10 @@ The contract, in check order:
    the block is explicitly flagged in :data:`FLAGGED_BLOCKS`.
 """
 
+from repro.api import MappingSession, SessionConfig
 from repro.frontend.extract import TargetBlock
 from repro.library.builtin import full_library
-from repro.mapping import (MethodologyFlow, decompose, fingerprint_block,
-                           map_block, map_block_pareto)
+from repro.mapping import MethodologyFlow, decompose, fingerprint_block
 from repro.platform import Badge4
 from repro.workload import WorkloadEntry
 
@@ -63,6 +63,7 @@ class WorkloadConformance:
         self._blocks: "dict[str, TargetBlock] | None" = None
         self._library = None
         self._platform = None
+        self._session = None
 
     # -- lazy shared state ----------------------------------------------
     @property
@@ -82,6 +83,17 @@ class WorkloadConformance:
         if self._platform is None:
             self._platform = Badge4()
         return self._platform
+
+    @property
+    def session(self) -> MappingSession:
+        """One memory-only session, so the checks share cache lines."""
+        if self._session is None:
+            self._session = MappingSession(SessionConfig())
+        return self._session
+
+    def _map(self, block):
+        result = self.session.map(block, self.library, self.platform)
+        return result.winner, result.matches
 
     # -- 1: metadata ----------------------------------------------------
     def check_metadata(self) -> None:
@@ -132,7 +144,7 @@ class WorkloadConformance:
     # -- 4: every block maps --------------------------------------------
     def check_every_block_maps(self) -> None:
         for name, block in self.blocks.items():
-            winner, matches = map_block(block, self.library, self.platform)
+            winner, matches = self._map(block)
             assert winner is not None, (
                 f"{self.entry.key}/{name}: no adequate element in the "
                 f"full library on the default platform")
@@ -141,7 +153,7 @@ class WorkloadConformance:
     # -- 5: decompose terminates ----------------------------------------
     def check_decompose_terminates(self) -> None:
         # Termination (not coverage) is the contract: multi-output
-        # blocks only map whole via map_block, and decompose's scalar
+        # blocks only map whole via the block match, and decompose's scalar
         # search legitimately rejects rows with no scalar covering.
         for name, block in self.blocks.items():
             first = block.outputs[next(iter(block.outputs))]
@@ -152,7 +164,7 @@ class WorkloadConformance:
     # -- 6: Pareto fronts -----------------------------------------------
     def check_fronts_mutually_non_dominated(self) -> None:
         for name, block in self.blocks.items():
-            result = map_block_pareto(block, self.library, self.platform)
+            result = self.session.pareto(block, self.library, self.platform)
             assert result.front, f"{self.entry.key}/{name}: empty front"
             for p in result.front:
                 for q in result.front:
@@ -180,7 +192,7 @@ class WorkloadConformance:
         from repro.codegen.verify import measure_match
 
         for name, block in self.blocks.items():
-            winner, _matches = map_block(block, self.library, self.platform)
+            winner, _matches = self._map(block)
             assert winner is not None  # check 4 owns the mapping contract
             measurement = measure_match(
                 block, winner, stimulus=self.workload.stimulus(name))

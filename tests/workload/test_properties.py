@@ -21,9 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import MappingSession, SessionConfig
 from repro.library import Library, LibraryElement
 from repro.library.builtin import _linear_rows
-from repro.mapping import map_block, map_block_pareto
 from repro.platform import Badge4, OperationTally
 from repro.workload import kernels
 from repro.workload.dsp import fir_block
@@ -111,8 +111,8 @@ class TestMonotoneCycles:
         cycles = []
         for n_out in sorted(sizes):
             block = fir_block(taps, n_out, name=f"fir_{n_out}")
-            winner, _ = map_block(block, _fir_library(taps, n_out),
-                                  platform)
+            winner = MappingSession(SessionConfig()).map(
+                block, _fir_library(taps, n_out), platform).winner
             assert winner is not None
             cycles.append(platform.cost_model.cycles(winner.element.cost))
         assert cycles == sorted(cycles)
@@ -137,10 +137,10 @@ class TestFrontConsistency:
             accuracy=accuracy, cost=OperationTally(int_mac=mac))
             for i, (mac, accuracy) in enumerate(landscape)]
         block = idct_row_block(n, name="idct_front_prop")
-        result = map_block_pareto(block, Library("prop", elements),
-                                  Badge4())
+        result = MappingSession(SessionConfig()).pareto(
+            block, Library("prop", elements), Badge4())
         assert result.front
-        names = {m.element.name for m in result.matches}
+        names = {m.element.name for m in result.result.matches}
         for p in result.front:
             assert p.element_name in names
             for q in result.front:
