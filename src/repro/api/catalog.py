@@ -13,9 +13,9 @@ live objects, memoized per instance:
   (``"mp3"`` unless configured otherwise), so pre-registry callers
   see exactly the set they always did;
 * **libraries** are assembled once per tag combination and reused, so
-  the per-instance fingerprint memo
-  (:func:`~repro.mapping.cache.fingerprint_library`) and the batch
-  engine's per-object pickle memo both stay hot;
+  the elements' cached content digests
+  (:func:`~repro.mapping.cache.element_digest`) and the batch engine's
+  per-object pickle memo both stay hot;
 * **platforms** come from the session's
   :class:`~repro.platform.registry.ProcessorRegistry` and are
   instantiated once per key.

@@ -39,6 +39,7 @@ __all__ = [
     "DEFAULT_PLATFORM",
     "DEFAULT_WORKLOAD",
     "ACCURACY_BUDGET_MESSAGE",
+    "TOLERANCE_MESSAGE",
     "canonical_json",
     "MapRequest",
     "SweepRequest",
@@ -61,6 +62,11 @@ DEFAULT_PLATFORM = "SA-1110"
 #: surfaces refuse identically instead of silently returning an empty
 #: front.
 ACCURACY_BUDGET_MESSAGE = "field 'accuracy_budget' must be a nonnegative number"
+
+#: The one wording for a bad coefficient-match tolerance, shared the
+#: same way.  A NaN or infinite tolerance accepts every coefficient, so
+#: the cheapest element of any arity would "match" every block.
+TOLERANCE_MESSAGE = "field 'tolerance' must be a finite nonnegative number"
 
 
 def canonical_json(payload) -> bytes:
@@ -109,6 +115,13 @@ def _accuracy_budget(payload: dict, default: float) -> float:
     value = _number(payload, "accuracy_budget", default)
     if value < 0 or math.isnan(value):
         raise ServiceError(400, ACCURACY_BUDGET_MESSAGE)
+    return value
+
+
+def _tolerance(payload: dict, default: float) -> float:
+    value = _number(payload, "tolerance", default)
+    if not math.isfinite(value) or value < 0:
+        raise ServiceError(400, TOLERANCE_MESSAGE)
     return value
 
 
@@ -170,7 +183,7 @@ class MapRequest:
             block=_string(payload, "block"),
             library=_string_tuple(payload, "library", DEFAULT_LIBRARY),
             platform=_string(payload, "platform", DEFAULT_PLATFORM),
-            tolerance=_number(payload, "tolerance", 1e-6),
+            tolerance=_tolerance(payload, 1e-6),
             accuracy_budget=_accuracy_budget(payload, math.inf),
             workload=_string(payload, "workload", DEFAULT_WORKLOAD),
         )
@@ -226,7 +239,7 @@ class SweepRequest:
             platforms=_string_tuple(payload, "platforms", None),
             libraries=_string_tuple(payload, "libraries", None),
             blocks=_string_tuple(payload, "blocks", None),
-            tolerance=_number(payload, "tolerance", 1e-6),
+            tolerance=_tolerance(payload, 1e-6),
             accuracy_budget=_accuracy_budget(payload, math.inf),
             workload=_string(payload, "workload", DEFAULT_WORKLOAD),
         )

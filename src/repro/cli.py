@@ -37,11 +37,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
 from repro.api import MappingSession, SessionConfig, canonical_json
-from repro.api.types import ACCURACY_BUDGET_MESSAGE
+from repro.api.types import ACCURACY_BUDGET_MESSAGE, TOLERANCE_MESSAGE
 from repro.errors import ReproError
 
 __all__ = ["build_parser", "main"]
@@ -54,6 +55,13 @@ def _parse_tags(text: str) -> tuple[str, ...]:
     return tuple(part.upper() for part in _TAG_SPLIT.split(text) if part)
 
 
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
 def _accuracy_budget(text: str) -> float:
     """Argparse type for ``--accuracy-budget``: a nonnegative float.
 
@@ -61,12 +69,19 @@ def _accuracy_budget(text: str) -> float:
     (:data:`~repro.api.types.ACCURACY_BUDGET_MESSAGE`), so both
     surfaces refuse identically.
     """
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    value = _float(text)
     if value < 0 or value != value:
         raise argparse.ArgumentTypeError(ACCURACY_BUDGET_MESSAGE)
+    return value
+
+
+def _tolerance(text: str) -> float:
+    """Argparse type for ``--tolerance``: a finite nonnegative float,
+    refused with the service's 400 wording
+    (:data:`~repro.api.types.TOLERANCE_MESSAGE`)."""
+    value = _float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(TOLERANCE_MESSAGE)
     return value
 
 
@@ -113,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--tolerance",
-            type=float,
+            type=_tolerance,
             default=None,
             help="coefficient-match tolerance (default: 1e-6)",
         )
@@ -160,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sweep.add_argument(
         "--tolerance",
-        type=float,
+        type=_tolerance,
         default=None,
         help="coefficient-match tolerance (default: 1e-6)",
     )

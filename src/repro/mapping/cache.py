@@ -8,10 +8,15 @@ collection, a :class:`~repro.platform.tally.OperationTally` carries a
 ``dict``, and a :class:`~repro.platform.badge4.Badge4` owns live model
 objects.  This module supplies the missing pieces:
 
-* **Fingerprints** — small hashable tuples that capture exactly the
-  inputs the algorithms read (element polynomials, formats, costs,
-  cycle prices), so semantically equal libraries/platforms hit the
-  same cache line even when they are distinct objects rebuilt per pass.
+* **Fingerprints** — small hashable tuples of content digests that
+  capture exactly the inputs the algorithms read (element polynomials,
+  formats, costs, cycle prices), so semantically equal
+  libraries/platforms hit the same cache line even when they are
+  distinct objects rebuilt per pass.  Each immutable value is hashed
+  once: a :class:`~repro.symalg.polynomial.Polynomial` caches its
+  ``content_digest``, an element its :func:`element_digest`, a library
+  fingerprint is the sorted tuple of its element digests, and a block
+  fingerprint carries its output polynomials' digests.
 * **LRU caches** — bounded, with hit/miss/eviction counters.
 * **A persistent disk tier** — an sqlite-backed store under a cache
   directory, keyed by a *stable* digest of the same fingerprints plus
@@ -33,7 +38,9 @@ A cache directory holds one sqlite file, ``mapping_cache.sqlite``.
 Disk keys cannot use Python ``hash`` (randomized per process); they
 are sha256 digests of a canonical text encoding of the fingerprint key
 (see :func:`stable_digest`) joined with the schema version, so bumping
-:data:`SCHEMA_VERSION` invalidates every stale entry at once.  A
+:data:`SCHEMA_VERSION` invalidates every stale entry at once.  Because
+the key is already made of content digests, that text is a few
+kilobytes, not the megabytes of polynomial coefficients it stands for.  A
 corrupted or unreadable store trips a circuit breaker (every lookup
 misses, every write is dropped, and the store is re-probed after a
 cooldown) — the cache must never break the computation.
@@ -60,7 +67,6 @@ import os
 import pickle
 import sqlite3
 import threading
-import weakref
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Hashable
@@ -85,6 +91,7 @@ __all__ = [
     "stable_digest",
     "fingerprint_tally",
     "fingerprint_element",
+    "element_digest",
     "fingerprint_library",
     "fingerprint_block",
     "fingerprint_platform",
@@ -104,8 +111,10 @@ _MISS = object()
 #: derived-front contract, so they are retired wholesale); 3 — element
 #: input/output formats join the element fingerprint (verification
 #: reads both from the cached match, so v2 entries could answer with a
-#: stale format).
-SCHEMA_VERSION = 3
+#: stale format); 4 — content-addressed keys: polynomials, elements
+#: and libraries enter disk keys as sha256 content digests instead of
+#: inline coefficients, so every disk key changed format.
+SCHEMA_VERSION = 4
 
 
 class LRUCache:
@@ -208,17 +217,17 @@ def fingerprint_tally(tally: OperationTally) -> tuple:
 def fingerprint_element(element: LibraryElement) -> tuple:
     """Hashable digest of everything the mapper reads from an element.
 
-    Covers the polynomial representation (structural — the
-    :class:`~repro.symalg.polynomial.Polynomial` hash), the data
-    formats (verification reads them from the cached match), accuracy,
-    and the cost tally; the ``kernel`` callable and the free-text
-    ``description`` are deliberately excluded because matching and
-    decomposition never read them.
+    Covers the polynomial representation (as content digests), the
+    data formats (verification reads them from the cached match),
+    accuracy, and the cost tally; the ``kernel`` callable and the
+    free-text ``description`` are deliberately excluded because
+    matching and decomposition never read them.  This is the one list
+    of read fields: :func:`element_digest` hashes exactly this tuple.
     """
     return (
         element.name,
         element.library,
-        element.polynomials,
+        tuple(poly.content_digest() for poly in element.polynomials),
         element.input_format,
         element.output_format,
         element.accuracy,
@@ -226,37 +235,40 @@ def fingerprint_element(element: LibraryElement) -> tuple:
     )
 
 
-#: Per-Library fingerprint memo.  A Library only ever grows (``add``
-#: raises on duplicates, there is no removal), so ``len`` is a sound
-#: staleness guard; weak keys keep dead libraries collectable.
-_LIBRARY_FP_MEMO: "weakref.WeakKeyDictionary[Library, tuple[int, tuple]]" = (
-    weakref.WeakKeyDictionary()
-)
+def element_digest(element: LibraryElement) -> str:
+    """Hex sha256 of :func:`fingerprint_element`, computed once per element.
+
+    Elements are frozen, so the digest is memoized on the instance on
+    first use (lazily: a library build never pays for it).  It is not a
+    dataclass field, so equality, ``dataclasses.replace``, copies and
+    pickles never carry it.
+    """
+    digest = element.__dict__.get("_content_digest")
+    if digest is None:
+        digest = _sha256(_canonical(fingerprint_element(element)))
+        object.__setattr__(element, "_content_digest", digest)
+    return digest
 
 
 def fingerprint_library(library: Library) -> tuple:
-    """Order-independent digest of a library's mapped-against content.
+    """Order-independent digest of a library's mapped-against content:
+    its sorted element digests.
 
     Two libraries with the same elements fingerprint identically even
     when assembled by different :meth:`~repro.library.catalog.Library.union`
     calls, so every pass of a benchmark ladder shares cache lines.
-    Memoized per instance (the batch engine keys every work item, and
-    re-fingerprinting a 20-element library per item dominated the warm
-    path).
     """
-    memo = _LIBRARY_FP_MEMO.get(library)
-    if memo is not None and memo[0] == len(library):
-        return memo[1]
-    fp = tuple(sorted(fingerprint_element(e) for e in library))
-    _LIBRARY_FP_MEMO[library] = (len(library), fp)
-    return fp
+    return tuple(sorted(element_digest(e) for e in library))
 
 
 def fingerprint_block(block: TargetBlock) -> tuple:
-    """Digest of a target block: name, output polynomials, input frame."""
+    """Digest of a target block: name, ``(output, polynomial digest)``
+    pairs, input frame."""
     return (
         block.name,
-        tuple(sorted(block.outputs.items())),
+        tuple(
+            sorted((out, poly.content_digest()) for out, poly in block.outputs.items())
+        ),
         block.input_variables,
     )
 
@@ -292,10 +304,14 @@ def _stable(obj: Any):
     """A JSON-able canonical form of a fingerprint key component.
 
     Python ``hash`` is randomized per process (``PYTHONHASHSEED``), so
-    disk keys are built from this encoding instead.  Every type a
-    fingerprint tuple can contain is covered; anything else is a bug in
-    the caller's key, surfaced loudly.
+    disk keys are built from this encoding instead.  A polynomial
+    enters as its :meth:`~repro.symalg.polynomial.Polynomial.content_digest`,
+    the one canonical polynomial encoding.  Every type a fingerprint
+    tuple can contain is covered; anything else is a bug in the
+    caller's key, surfaced loudly.
     """
+    if isinstance(obj, (tuple, list)):  # first: keys are mostly tuples
+        return ["t", [_stable(x) for x in obj]]
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, float):
@@ -303,61 +319,28 @@ def _stable(obj: Any):
     if isinstance(obj, Fraction):
         return ["q", obj.numerator, obj.denominator]
     if isinstance(obj, Polynomial):
-        # The packed representation is already canonical (variables
-        # sorted, codes unique, coefficients exact); encoding it
-        # directly is ~50x cheaper than rendering str(poly), which
-        # term-order-sorts every polynomial in a library fingerprint.
-        terms = []
-        for code, coeff in sorted(obj._codes.items()):
-            if isinstance(coeff, Fraction):
-                terms.append([code, coeff.numerator, coeff.denominator])
-            else:
-                terms.append([code, coeff, 1])
-        return ["P", list(obj.variables), terms]
-    if isinstance(obj, (tuple, list)):
-        return ["t", [_stable(x) for x in obj]]
+        return ["P", obj.content_digest()]
     raise TypeError(f"cannot build a stable disk-cache key from {type(obj).__name__}")
 
 
-#: Encoded-component memo keyed by ``id``.  Only tuples are memoized
-#: (fingerprints are tuples, immutable, and — via the per-library
-#: memo — identity-stable across a batch).  Entries hold a strong
-#: reference to the tuple, so a live entry's id cannot be recycled;
-#: the table is cleared wholesale when it grows past its bound.
-_ENCODED_MEMO: dict[int, tuple[Any, str]] = {}
-_ENCODED_MEMO_BOUND = 256
-
-
-def _encoded(obj: Any) -> str:
-    """Canonical JSON text of one key component (memoized for tuples)."""
-    if isinstance(obj, tuple):
-        entry = _ENCODED_MEMO.get(id(obj))
-        if entry is not None and entry[0] is obj:
-            return entry[1]
-        text = json.dumps(_stable(obj), separators=(",", ":"), ensure_ascii=True)
-        if len(_ENCODED_MEMO) >= _ENCODED_MEMO_BOUND:
-            _ENCODED_MEMO.clear()
-        _ENCODED_MEMO[id(obj)] = (obj, text)
-        return text
+def _canonical(obj: Any) -> str:
+    """Canonical JSON text of :func:`_stable`'s form of ``obj``."""
     return json.dumps(_stable(obj), separators=(",", ":"), ensure_ascii=True)
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
 def stable_digest(key: tuple) -> str:
     """Hex sha256 of the canonical encoding of ``key`` + schema version.
 
     Stable across processes and Python sessions; changes whenever the
-    key's semantic content or :data:`SCHEMA_VERSION` changes.  Encoded
-    per top-level component (NUL-separated — JSON text cannot contain a
-    raw NUL, so the framing is unambiguous) so that the large shared
-    components — a 20-element library fingerprint — are encoded once
-    per batch instead of once per work item.
+    key's semantic content or :data:`SCHEMA_VERSION` changes.  Keys
+    are built from content digests (libraries, blocks, targets), so
+    the hashed text is small: a few kilobytes for a full-ladder map key.
     """
-    h = hashlib.sha256()
-    h.update(str(SCHEMA_VERSION).encode("ascii"))
-    for component in key:
-        h.update(b"\x00")
-        h.update(_encoded(component).encode("ascii"))
-    return h.hexdigest()
+    return _sha256(f"{SCHEMA_VERSION}\x00{_canonical(key)}")
 
 
 # ----------------------------------------------------------------------

@@ -80,11 +80,12 @@ def _decompose_key(
     Shared between the cached search and the batch engine so a batch
     prewarm and a later direct call land on the same cache line — in
     memory (hashable tuple) and on disk (via
-    :func:`~repro.mapping.cache.stable_digest`).
+    :func:`~repro.mapping.cache.stable_digest`).  Polynomials, elements
+    and libraries enter as content digests, so the key stays small.
     """
     return (
         "decompose",
-        target,
+        target.content_digest(),
         fingerprint_library(library),
         fingerprint_platform(platform),
         tolerance,

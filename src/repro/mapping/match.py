@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from repro.frontend.extract import TargetBlock
 from repro.library.element import LibraryElement
-from repro.mapping.cache import INSTANTIATIONS_CACHE, fingerprint_element
+from repro.mapping.cache import INSTANTIATIONS_CACHE, element_digest
 from repro.symalg.ideal import SideRelation
 from repro.symalg.polynomial import Polynomial
 
@@ -117,11 +117,11 @@ def enumerate_instantiations(
     which MAC-style decomposition chains rely on; candidates are ranked
     by how many of the target's monomials the bound polynomial shares.
 
-    Memoized per ``(element, target, tolerance, limit)``: cached
+    Memoized per ``(element digest, target, tolerance, limit)``: cached
     instantiations reference the first structurally-equal element seen,
     which is interchangeable by the fingerprint contract.
     """
-    key = (fingerprint_element(element), target, tolerance, limit)
+    key = (element_digest(element), target, tolerance, limit)
     cached = INSTANTIATIONS_CACHE.get(key)
     if cached is not None:
         return list(cached)

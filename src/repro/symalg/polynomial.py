@@ -30,6 +30,8 @@ Design rules
 
 from __future__ import annotations
 
+import hashlib
+import json
 from fractions import Fraction
 from numbers import Rational
 from typing import Callable, Iterator, Mapping, Sequence, Union
@@ -92,7 +94,7 @@ class Polynomial:
     Fraction(5, 1)
     """
 
-    __slots__ = ("_variables", "_codes", "_hash", "_terms_cache",
+    __slots__ = ("_variables", "_codes", "_hash", "_digest", "_terms_cache",
                  "_lt_cache", "_degree_cache")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], Scalar]):
@@ -138,6 +140,7 @@ class Polynomial:
             for exps, coeff in cleaned.items()
         }
         self._hash: int | None = None
+        self._digest: str | None = None
         self._terms_cache: dict[tuple[int, ...], Fraction] | None = None
         self._lt_cache: dict[TermOrder, tuple[int, ...]] | None = None
         self._degree_cache: int | None = None
@@ -181,6 +184,7 @@ class Polynomial:
         self._variables = variables
         self._codes = codes
         self._hash = None
+        self._digest = None
         self._terms_cache = None
         self._lt_cache = None
         self._degree_cache = None
@@ -733,10 +737,10 @@ class Polynomial:
     def __getstate__(self) -> tuple:
         """Pickle only the canonical core: ``(variables, codes)``.
 
-        The lazy caches (hash, decoded terms, per-order leading terms,
-        degree) are deliberately dropped — they rebuild on demand — so
-        pickles are small, stable across sessions, and never carry
-        per-process artifacts.  This is the serialization contract the
+        The lazy caches (hash, content digest, decoded terms, per-order
+        leading terms, degree) are deliberately dropped — they rebuild
+        on demand — so pickles are small, stable across sessions, and
+        never carry per-process artifacts.  This is the serialization contract the
         batch-mapping engine and the on-disk cache tier rely on.
         """
         return (self._variables, self._codes)
@@ -746,6 +750,7 @@ class Polynomial:
         self._variables = tuple(variables)
         self._codes = dict(codes)
         self._hash = None
+        self._digest = None
         self._terms_cache = None
         self._lt_cache = None
         self._degree_cache = None
@@ -766,6 +771,32 @@ class Polynomial:
         if self._hash is None:
             self._hash = hash((self._variables, frozenset(self._codes.items())))
         return self._hash
+
+    def content_digest(self) -> str:
+        """Hex sha256 of the canonical form, computed once per instance.
+
+        The hashed text is the sorted variables plus the sorted packed
+        ``(code, numerator, denominator)`` triples, in hex (linear-time
+        for the long exact coefficients of cosine-table elements), so an
+        ``int`` and a denominator-1 ``Fraction`` coefficient digest
+        alike.  Unlike ``hash`` it is stable across processes
+        (``PYTHONHASHSEED``): the mapping caches key memory and disk
+        entries by it.
+
+        >>> x, y = symbols("x y")
+        >>> (x + y).content_digest() == (y + x).content_digest()
+        True
+        """
+        if self._digest is None:
+            terms = []
+            for code, coeff in sorted(self._codes.items()):
+                if type(coeff) is Fraction:
+                    terms.append(f"{code:x} {coeff.numerator:x} {coeff.denominator:x}")
+                else:
+                    terms.append(f"{code:x} {coeff:x} 1")
+            text = json.dumps(self._variables) + "\n" + "\n".join(terms)
+            self._digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+        return self._digest
 
     def __bool__(self) -> bool:
         return bool(self._codes)

@@ -161,6 +161,37 @@ class TestAccuracyBudgetOption:
         assert "invalid float value" in capsys.readouterr().err
 
 
+class TestToleranceOption:
+    """``--tolerance`` must be finite and nonnegative on every command
+    that takes it; NaN or infinity used to accept every coefficient and
+    answer with the wrong element (an 8-point FFT for a biquad)."""
+
+    @pytest.mark.parametrize("command", ["map", "pareto", "verify", "codegen"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1"])
+    def test_bad_tolerance_is_a_usage_error(self, command, value, capsys):
+        from repro.api.types import TOLERANCE_MESSAGE
+
+        with pytest.raises(SystemExit) as err:
+            main([command, "iir_biquad8", "--workload", "dsp",
+                  f"--tolerance={value}", "--json"])
+        assert err.value.code == 2
+        assert TOLERANCE_MESSAGE in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_bad_tolerance_rejected_on_sweep(self, value, capsys):
+        from repro.api.types import TOLERANCE_MESSAGE
+
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", f"--tolerance={value}"])
+        assert err.value.code == 2
+        assert TOLERANCE_MESSAGE in capsys.readouterr().err
+
+    def test_non_numeric_tolerance_is_a_float_error(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["map", "inv_mdctL", "--tolerance", "loose"])
+        assert "invalid float value" in capsys.readouterr().err
+
+
 class TestOtherCommands:
     def test_platforms_lists_the_registry(self, capsys):
         assert main(["platforms"]) == 0

@@ -9,8 +9,9 @@ from repro.api import MappingSession, SessionConfig
 from repro.frontend.extract import TargetBlock
 from repro.library import Library, LibraryElement
 from repro.mapping import fingerprint_library, fingerprint_platform
-from repro.mapping.cache import (LRUCache, fingerprint_element,
-                                 fingerprint_tally, stable_digest)
+from repro.mapping.cache import (LRUCache, element_digest,
+                                 fingerprint_element, fingerprint_tally,
+                                 stable_digest)
 from repro.mapping.decompose import _map_block_key
 from repro.mapping.flow import _imdct_block
 from repro.library.builtin import full_library
@@ -191,6 +192,55 @@ class TestFingerprintSoundness:
         same = _variant(part, field, value)
         assert same == _key()
         assert stable_digest(same) == stable_digest(_key())
+
+    @pytest.mark.parametrize("field, value", _READ["element"].items())
+    def test_changing_a_read_field_changes_the_element_digest(self, field, value):
+        changed = dataclasses.replace(_ELEMENT, **{field: value})
+        assert element_digest(changed) != element_digest(_ELEMENT)
+
+    @pytest.mark.parametrize("field, value", _IGNORED["element"].items())
+    def test_changing_an_ignored_field_keeps_the_element_digest(self, field, value):
+        same = dataclasses.replace(_ELEMENT, **{field: value})
+        assert element_digest(same) == element_digest(_ELEMENT)
+
+    def test_element_digest_is_not_pickled_or_copied(self):
+        import copy
+        import pickle
+
+        element = dataclasses.replace(_ELEMENT)
+        digest = element_digest(element)
+        assert digest.encode("ascii") not in pickle.dumps(element)
+        for twin in (pickle.loads(pickle.dumps(element)), copy.copy(element),
+                     copy.deepcopy(element)):
+            assert "_content_digest" not in vars(twin)
+            assert twin == element
+            assert element_digest(twin) == digest
+
+
+def _leaves(obj):
+    if isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _leaves(item)
+    else:
+        yield obj
+
+
+class TestKeySize:
+    """A map key is a handful of content digests: the megabytes of
+    exact coefficients in a full-ladder library and a 64-output block
+    must never be inlined into it again (the key is re-digested on
+    every service request)."""
+
+    def test_idct8x8_full_ladder_key_has_no_inline_polynomials(self):
+        from repro.workload import get_workload
+
+        spec = next(s for s in get_workload("jpeg_idct").workload.block_specs()
+                    if s.name == "idct8x8")
+        key = _map_block_key(spec.build(), full_library(),
+                             Badge4(processor=SA1110), 1e-6, math.inf)
+        leaves = list(_leaves(key))
+        assert not any(isinstance(leaf, Polynomial) for leaf in leaves)
+        assert sum(len(repr(leaf)) for leaf in leaves) < 16 * 1024
 
 
 class TestDecomposeMemoization:

@@ -54,16 +54,31 @@ class TestStableDigest:
         assert stable_digest((1.0,)) != stable_digest((1,))
 
     def test_stable_across_processes(self, tmp_path):
-        """Python hash() is seed-randomized; the digest must not be."""
+        """Python hash() is seed-randomized; the digest must not be --
+        neither for a bare polynomial nor for a full-ladder map key,
+        whose library and block enter as content digests."""
         script = (
             "from repro.symalg import symbols\n"
+            "from repro.library.builtin import full_library\n"
             "from repro.mapping.cache import stable_digest\n"
+            "from repro.mapping.decompose import _map_block_key\n"
+            "from repro.platform import Badge4\n"
+            "from repro.workload.mp3 import imdct_block\n"
             "x, y = symbols('x y')\n"
-            "print(stable_digest((x + x**3*y**2 - 2*x*y**3, 1e-9)))\n")
+            "print(stable_digest((x + x**3*y**2 - 2*x*y**3, 1e-9)))\n"
+            "print(stable_digest(_map_block_key(imdct_block(), full_library(),\n"
+            "                                   Badge4(), 1e-6, float('inf'))))\n")
         env = {**os.environ, "PYTHONPATH": _SRC_DIR, "PYTHONHASHSEED": "99"}
         out = subprocess.run([sys.executable, "-c", script], env=env,
                              capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == stable_digest((TARGET, 1e-9))
+        from repro.library.builtin import full_library
+        from repro.mapping.decompose import _map_block_key
+        from repro.workload.mp3 import imdct_block
+
+        map_key = _map_block_key(imdct_block(), full_library(), PLATFORM,
+                                 1e-6, float("inf"))
+        assert out.stdout.split() == [stable_digest((TARGET, 1e-9)),
+                                      stable_digest(map_key)]
 
     def test_rejects_unknown_types(self):
         with pytest.raises(TypeError):

@@ -100,6 +100,35 @@ class TestAccuracyBudgetValidation:
             {"block": "b", "accuracy_budget": 0}).accuracy_budget == 0.0
 
 
+class TestToleranceValidation:
+    """A NaN or infinite tolerance accepts every coefficient, so the
+    cheapest element of any shape would "match"; such requests are
+    refused with the one message the CLI shares."""
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1e-9])
+    def test_map_request_rejects(self, tolerance):
+        from repro.api.types import TOLERANCE_MESSAGE
+
+        with pytest.raises(ServiceError) as err:
+            MapRequest.from_payload({"block": "b", "tolerance": tolerance})
+        assert err.value.status == 400
+        assert str(err.value) == TOLERANCE_MESSAGE
+
+    @pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf, -1e-9])
+    def test_sweep_request_rejects(self, tolerance):
+        from repro.api.types import TOLERANCE_MESSAGE
+
+        with pytest.raises(ServiceError) as err:
+            SweepRequest.from_payload({"tolerance": tolerance})
+        assert err.value.status == 400
+        assert str(err.value) == TOLERANCE_MESSAGE
+
+    @pytest.mark.parametrize("tolerance", [0, 0.0, 1e-3, 5])
+    def test_finite_nonnegative_is_valid(self, tolerance):
+        request = MapRequest.from_payload({"block": "b", "tolerance": tolerance})
+        assert request.tolerance == float(tolerance)
+
+
 class TestSweepRequest:
     def test_defaults_mean_everything(self):
         request = SweepRequest.from_payload({})

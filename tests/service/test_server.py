@@ -258,6 +258,25 @@ class TestErrorPaths:
         assert status == 400
         assert "workers" in body["error"]
 
+    @pytest.mark.parametrize("path, body", [
+        ("/v1/map", b'{"block": "inv_mdctL", "tolerance": NaN}'),
+        ("/v1/pareto", b'{"block": "inv_mdctL", "tolerance": Infinity}'),
+        ("/v1/verify", b'{"block": "inv_mdctL", "tolerance": -Infinity}'),
+        ("/v1/sweep", b'{"tolerance": NaN}'),
+        ("/v1/map", b'{"block": "inv_mdctL", "tolerance": -1}'),
+    ])
+    def test_non_finite_or_negative_tolerance_is_400(self, live_service,
+                                                     path, body):
+        from repro.api.types import TOLERANCE_MESSAGE
+
+        service, _client = live_service
+        before = service.session.stats()["map_block"]
+        status, response = _raw_post(service, path, body)
+        assert status == 400
+        assert TOLERANCE_MESSAGE in json.loads(response)["error"]
+        # refused before any lookup: nothing computed, nothing cached
+        assert service.session.stats()["map_block"] == before
+
     def test_errors_are_counted(self, live_service):
         service, client = live_service
         before = service.errors

@@ -316,3 +316,63 @@ class TestSerialization:
         import copy
         p = x ** 2 - y
         assert copy.deepcopy(p) == p
+
+
+class TestContentDigest:
+    """``content_digest`` is a function of the polynomial's value alone:
+    equal polynomials digest equally however they were built, and any
+    change to a coefficient, exponent or variable changes it."""
+
+    BASE = 3 * x ** 2 * y - Fraction(1, 7) * y ** 3 + 5
+
+    def test_operator_order(self):
+        a = (x + y) * (x - y)
+        b = x ** 2 - y ** 2
+        c = -(y ** 2) + x * x
+        assert a.content_digest() == b.content_digest() == c.content_digest()
+
+    def test_from_dict_and_parser_agree(self):
+        from repro.symalg.parser import parse_polynomial
+
+        from_dict = Polynomial.from_dict(
+            {(2, 1): 3, (0, 3): Fraction(-1, 7), (0, 0): 5}, ("x", "y"))
+        parsed = parse_polynomial("3*x^2*y - 1/7*y^3 + 5")
+        assert from_dict.content_digest() == self.BASE.content_digest()
+        assert parsed.content_digest() == self.BASE.content_digest()
+
+    def test_unused_variables_do_not_count(self):
+        padded = Polynomial.from_dict({(2, 0): 1}, ("x", "z"))
+        assert padded.content_digest() == (x ** 2).content_digest()
+
+    def test_int_and_denominator_one_fraction_coefficients_agree(self):
+        p = 3 * x + 2
+        q = Polynomial.__new__(Polynomial)
+        q.__setstate__((p.variables, {code: Fraction(coeff)
+                                      for code, coeff in p._codes.items()}))
+        assert any(type(c) is Fraction for c in q._codes.values())
+        assert q == p
+        assert q.content_digest() == p.content_digest()
+
+    def test_pickle_roundtrip_keeps_digest_but_not_the_cache(self):
+        import pickle
+
+        digest = self.BASE.content_digest()
+        blob = pickle.dumps(self.BASE)
+        assert digest.encode("ascii") not in blob
+        assert len(self.BASE.__getstate__()) == 2
+        assert pickle.loads(blob).content_digest() == digest
+
+    @pytest.mark.parametrize("other", [
+        3 * x ** 2 * y - Fraction(1, 7) * y ** 3 + 6,          # a coefficient
+        3 * x ** 2 * y - Fraction(1, 8) * y ** 3 + 5,          # a denominator
+        3 * x ** 2 * y - Fraction(1, 7) * y ** 4 + 5,          # an exponent
+        3 * x ** 2 * z - Fraction(1, 7) * z ** 3 + 5,          # a variable name
+    ])
+    def test_any_change_changes_the_digest(self, other):
+        assert other != self.BASE
+        assert other.content_digest() != self.BASE.content_digest()
+
+    def test_is_a_cached_hex_sha256(self):
+        digest = self.BASE.content_digest()
+        assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+        assert self.BASE.content_digest() is digest     # computed once
