@@ -9,9 +9,9 @@ whichever this host supports, recorded in the payload) against one
 work and the measurement isolates the serving path, not the solver.
 
 The request mix is deliberately many distinct payloads (blocks x
-platforms): a single hot key would consistently hash onto one shard
-owner and measure nothing but that worker.  Warm requests are served
-by whichever worker accepts (the router's cache peek), so throughput
+platforms) rather than one hot key: each worker loads the working set
+key by key from the shared disk tier into its own LRU, as a real warm
+fleet does.  Any worker answers whatever it accepts, so throughput
 should scale with workers — on a multi-core host.  The ">= 2x at 4
 workers" acceptance assertion is therefore gated behind
 ``REPRO_SCALE_ASSERT=1`` (CI's scale job sets it on its multi-core
@@ -42,8 +42,8 @@ WORKER_COUNTS = (1, 4) if SMOKE else (1, 2, 4)
 LOAD_THREADS = 4 if SMOKE else 8
 REQUESTS_PER_THREAD = 10 if SMOKE else 40
 
-#: Distinct payloads (block x platform), so the consistent-hash
-#: router spreads ownership instead of funnelling one hot key.
+#: Distinct payloads (block x platform): a working set each worker
+#: loads key by key from the shared disk tier, not one hot key.
 PAYLOADS = [
     {"block": block, "platform": platform}
     for block in ("inv_mdctL", "SubBandSynthesis")

@@ -415,20 +415,6 @@ class MappingSession:
             workloads=self.config.workloads,
         )
 
-    def cached_map(self, key: tuple, digest: "str | None" = None):
-        """The cached ``(winner, matches)`` for a prebuilt map key, or
-        ``None`` — memory, then the shared disk tier; never computes.
-
-        The fleet front's shard router peeks here before forwarding:
-        a warm hit (this worker's LRU, or any worker's write-through
-        into the shared sqlite tier) is served locally, so only cold
-        work pays the cross-worker hop.  ``key`` is the tuple
-        :func:`repro.mapping.decompose._map_block_key` builds;
-        ``digest`` optionally carries its precomputed
-        :func:`~repro.mapping.cache.stable_digest`.
-        """
-        return self.tiers.lookup_map_block(key, digest)
-
     def cache_counters(self) -> dict:
         """Flat, summable cache counters for cross-worker aggregation.
 

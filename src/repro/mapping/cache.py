@@ -610,29 +610,6 @@ class CacheTiers:
             "disk": {"enabled": False} if self._disk is None else self._disk.stats(),
         }
 
-    def lookup_map_block(self, key: tuple, digest: "str | None" = None):
-        """The cached ``(winner, matches)`` for a prebuilt map_block
-        key, or ``None`` — memory first, then the disk tier (a disk hit
-        is promoted into the LRU).  Never computes.
-
-        This is the fleet front's routing peek: a worker that is not a
-        request's shard owner consults it so cross-worker warm hits
-        (present in the shared disk tier) are served locally instead
-        of forwarded.  ``digest`` short-circuits re-hashing when the
-        caller already holds ``stable_digest(key)``.
-        """
-        cached = self.map_block.get(key)
-        if cached is not None:
-            return cached
-        if self._disk is None:
-            return None
-        if digest is None:
-            digest = stable_digest(key)
-        stored = self._disk.get(digest)
-        if stored is not None:
-            self.map_block.put(key, stored)
-        return stored
-
     def clear_memory(self) -> None:
         """Drop both LRU caches (counters included)."""
         self.decompose.clear()

@@ -21,10 +21,10 @@ defends):
 ``batch.worker``        a batch work item executing in a pool worker
 ``service.dispatch``    the service's heavy work, on its executor thread
 ``service.accept``      a service connection handler, before reading
-``fleet.worker``        a fleet worker about to serve a public request;
+``fleet.worker``        a fleet worker accepting a public connection;
                         any raise here kills the worker process
                         (``os._exit``), exercising crashed-worker
-                        respawn and shard-router fallback
+                        respawn
 ======================  ================================================
 
 With no plan active, :func:`inject` is one module-global read and a

@@ -19,11 +19,35 @@ from __future__ import annotations
 import argparse
 import asyncio
 import logging
+import math
 import signal
 import threading
 
 from repro.service.fleet import FleetSupervisor
 from repro.service.server import DEFAULT_PORT, MappingService
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return value
+
+
+def _positive_seconds(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text}")
+    return value
+
+
+def _nonnegative_seconds(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text}")
+    return value
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -37,7 +61,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--port", type=int, default=DEFAULT_PORT,
                         help="bind port; 0 picks an ephemeral one "
                              "(default: %(default)s)")
-    parser.add_argument("--workers", type=int, default=1,
+    parser.add_argument("--workers", type=_positive_int, default=1,
                         help="fork N worker processes behind the port "
                              "(the fleet front; SIGHUP rolls them "
                              "over one at a time; default: one "
@@ -49,18 +73,22 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--cache-dir", default=None,
                         help="pin the persistent mapping cache tier "
                              "to this directory")
-    parser.add_argument("--request-timeout", type=float, default=300.0,
+    parser.add_argument("--request-timeout", type=_positive_seconds,
+                        default=300.0,
                         help="per-request wall-clock bound, seconds; "
                              "expiry answers 503 + Retry-After "
                              "(default: %(default)s)")
-    parser.add_argument("--max-inflight", type=int, default=None,
+    parser.add_argument("--max-inflight", type=_positive_int,
+                        default=None,
                         help="admission bound: shed requests past N "
                              "in flight with 429 + Retry-After "
                              "(default: unbounded)")
-    parser.add_argument("--retry-after", type=float, default=1.0,
+    parser.add_argument("--retry-after", type=_nonnegative_seconds,
+                        default=1.0,
                         help="seconds advertised in Retry-After on "
                              "429/503 sheds (default: %(default)s)")
-    parser.add_argument("--drain-grace", type=float, default=30.0,
+    parser.add_argument("--drain-grace", type=_nonnegative_seconds,
+                        default=30.0,
                         help="seconds SIGTERM waits for in-flight "
                              "work before stopping "
                              "(default: %(default)s)")
@@ -151,7 +179,7 @@ def main(argv=None) -> None:
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(asctime)s %(name)s %(levelname)s %(message)s")
-    if args.workers and args.workers > 1:
+    if args.workers > 1:
         try:
             _serve_fleet(args)
         except KeyboardInterrupt:

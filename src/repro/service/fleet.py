@@ -1,9 +1,8 @@
-"""The multi-process fleet front: N workers, one port, shard routing.
+"""The multi-process fleet front: N workers, one port, one shared cache.
 
-ROADMAP item 1's scaling step: one :class:`~repro.service.server.
-MappingService` process saturates a single event loop at roughly
-140 warm req/s, so ``python -m repro.service --workers N`` puts N
-pre-forked service processes behind one listening port.  Three pieces:
+``python -m repro.service --workers N`` puts N pre-forked
+:class:`~repro.service.server.MappingService` processes behind one
+listening port.  Three pieces:
 
 **Socket strategy.**  The supervisor binds *before* forking.  Where
 the platform has ``SO_REUSEPORT`` (Linux, modern BSDs) each worker
@@ -14,19 +13,13 @@ accept queue.  Either way the parent never listens — only workers
 accept — and the chosen strategy is reported in ``/v1/stats`` and the
 startup line.
 
-**Shard router.**  Each worker owns a static slice of the request key
-space via a :class:`HashRing` over worker indices, keyed on the same
-:func:`~repro.mapping.cache.stable_digest` fingerprint the
-single-flight layer coalesces on.  A worker that accepts a request it
-does not own first *peeks* the shared cache (memory LRU, then the
-sqlite disk tier every worker shares) — warm work is served locally,
-because a cache hit is cheaper than a hop — and only forwards cold
-work to the owner over the owner's internal loopback listener.  Thus
-identical cold requests land on one worker and coalesce there, while
-warm traffic scales with the worker count.  Forwarding is one hop by
-construction (internal connections never re-route) and fails *open*:
-a dead or draining owner means the accepting worker computes locally
-rather than failing the request.
+**Any worker serves any request.**  The worker that accepts a
+connection answers it through the ordinary service path.  Every worker writes through into one sqlite disk tier, so a key
+one worker computed is a disk hit (then an LRU hit) on every other.
+That shared tier is what bounds duplicate work: sequential identical
+cold requests compute once fleet-wide, and concurrent ones at most
+once per worker (single-flight coalesces within a worker, not across
+workers).
 
 **Supervision.**  The parent process is a supervisor, not a proxy: it
 forks workers, respawns crashed ones with exponential backoff, and
@@ -36,26 +29,24 @@ join, fork a replacement, wait for its internal ``/healthz``, then
 the next slot — so a config rollout never drops below N-1 serving
 workers.
 
-Fleet-wide admission control is the per-worker
-:class:`~repro.resilience.AdmissionController` applied at the owning
-worker: routed requests deliberately skip the accepting worker's gate
-and are judged by the owner's, whose 429 + ``Retry-After`` relays
-back unchanged.  ``GET /metrics`` on any worker aggregates every
-worker's histograms and counters (:mod:`repro.service.metrics`) into
-one fleet-wide view.
+Each worker also listens on a private loopback port that carries only
+peer ``/metrics`` scrapes and the supervisor's ``/healthz`` probes.
+Admission control is per worker
+(:class:`~repro.resilience.AdmissionController`).  ``GET /metrics`` on
+any worker aggregates every worker's histograms and counters
+(:mod:`repro.service.metrics`) into one fleet-wide view.
 
 The ``fleet.worker`` fault site (:func:`repro.resilience.inject`)
-fires as a worker picks up a public request; a chaos rule arming it
-kills the worker process mid-service (``os._exit``), which is how the
-chaos suite proves crashed-worker respawn and router fall-back keep
-the {200, 429, 503} response contract.
+fires as a worker accepts a public connection; a chaos rule arming it
+kills the worker process (``os._exit``), which is how the chaos suite
+proves crashed-worker respawn keeps the {200, 429, 503} response
+contract.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextvars
-import hashlib
 import http.client
 import json
 import logging
@@ -69,111 +60,36 @@ import time
 import warnings
 
 from repro.api import MappingSession, SessionConfig
-from repro.mapping.cache import SCHEMA_VERSION, stable_digest
+from repro.mapping.cache import SCHEMA_VERSION
 from repro.resilience import inject
 from repro.service.metrics import (BUCKET_BOUNDS_WIRE, merge_counters,
                                    merge_metrics)
-from repro.service.protocol import (MapRequest, SweepRequest,
-                                    parse_json_body)
 from repro.service.server import MappingService
 
-__all__ = ["HashRing", "FleetWorker", "FleetSupervisor"]
+__all__ = ["FleetWorker", "FleetSupervisor"]
 
 logger = logging.getLogger("repro.service.fleet")
 
-#: Virtual nodes per worker on the ring.  Enough that a 4-worker ring
-#: is balanced to within a few percent; small enough that building the
-#: ring is microseconds.
-RING_REPLICAS = 64
-
 #: True on connections arriving at a worker's *internal* loopback
-#: listener (forwarded work, peer metrics scrapes, supervisor health
-#: probes).  Internal requests are handled locally unconditionally —
-#: this is what bounds forwarding to one hop.
+#: listener (peer metrics scrapes, supervisor health probes).  Such a
+#: connection skips the ``fleet.worker`` chaos site and answers
+#: ``/metrics`` with the local snapshot, so aggregation never recurses.
 _INTERNAL: "contextvars.ContextVar[bool]" = contextvars.ContextVar(
     "repro_fleet_internal", default=False)
 
 
-class HashRing:
-    """A consistent-hash ring mapping request digests to worker nodes.
-
-    sha256-based and fully deterministic: the same node set always
-    yields the same ring, across processes and restarts, so every
-    worker computes identical ownership without coordination.  The
-    consistent-hashing property bounds rebalancing: removing one of N
-    nodes moves only that node's ~1/N share of the key space (keys
-    owned by survivors never move), which the unit tests assert.
-
-    >>> ring = HashRing([0, 1, 2, 3])
-    >>> ring.owner("a-request-digest") in (0, 1, 2, 3)
-    True
-    >>> ring.owner("a-request-digest") == ring.owner("a-request-digest")
-    True
-    """
-
-    def __init__(self, nodes=(), replicas: int = RING_REPLICAS):
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
-        self.replicas = replicas
-        self._points: "list[tuple[int, object]]" = []
-        self._nodes: "set" = set()
-        for node in nodes:
-            self.add(node)
-
-    @staticmethod
-    def _hash(value: str) -> int:
-        return int.from_bytes(
-            hashlib.sha256(value.encode("utf-8")).digest()[:8], "big")
-
-    def add(self, node) -> None:
-        """Place ``node`` on the ring (idempotent)."""
-        if node in self._nodes:
-            return
-        self._nodes.add(node)
-        for replica in range(self.replicas):
-            self._points.append((self._hash(f"{node}#{replica}"), node))
-        self._points.sort()
-
-    def remove(self, node) -> None:
-        """Take ``node`` off the ring; its keys redistribute."""
-        if node not in self._nodes:
-            return
-        self._nodes.discard(node)
-        self._points = [(h, n) for h, n in self._points if n != node]
-
-    @property
-    def nodes(self) -> tuple:
-        return tuple(sorted(self._nodes, key=repr))
-
-    def owner(self, digest: str):
-        """The node owning ``digest`` (first point clockwise)."""
-        if not self._points:
-            raise ValueError("empty hash ring")
-        target = self._hash(digest)
-        lo, hi = 0, len(self._points)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._points[mid][0] < target:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == len(self._points):
-            lo = 0
-        return self._points[lo][1]
-
-
 class FleetWorker(MappingService):
-    """One fleet member: a :class:`MappingService` plus the router.
+    """One fleet member: a :class:`MappingService` plus fleet plumbing.
 
     Extends the base service with (a) an internal loopback listener
-    that peers forward cold work to and scrape local metrics from,
-    (b) the :meth:`_route` override implementing peek-then-forward
-    shard routing, and (c) a fleet-aggregating ``GET /metrics``.
+    that peers scrape local metrics from and the supervisor probes for
+    health, (b) the ``fleet.worker`` chaos site on public connections,
+    and (c) a fleet-aggregating ``GET /metrics``.
 
     Parameters beyond the base service's:
 
     worker_index:
-        This worker's slot (also its ring node).
+        This worker's slot.
     internal_ports:
         Every worker's internal listener port, indexed by slot — the
         fleet's static membership map, fixed by the supervisor before
@@ -185,11 +101,8 @@ class FleetWorker(MappingService):
         ``"shared_socket"``), reported in stats.
     """
 
-    #: Seconds an internal forward or metrics scrape may take before
-    #: the accepting worker falls back to local handling.  Bounded
-    #: separately from request_timeout so a wedged peer cannot pin a
-    #: public request for the full request budget.
-    FORWARD_TIMEOUT = 30.0
+    #: Seconds a peer metrics scrape may take before that peer is
+    #: reported in ``missing_workers``.
     SCRAPE_TIMEOUT = 5.0
 
     def __init__(self, *, worker_index: int = 0,
@@ -201,11 +114,6 @@ class FleetWorker(MappingService):
         self.strategy = strategy
         self._internal_socket = internal_socket
         self._internal_server: "asyncio.base_events.Server | None" = None
-        self.ring = HashRing(range(len(self.internal_ports)))
-        self.fleet_counters = {"routed_out": 0, "routed_in": 0,
-                               "served_local_owner": 0,
-                               "served_local_warm": 0,
-                               "forward_fallback": 0}
 
     # -- lifecycle -------------------------------------------------------
     async def start(self) -> None:
@@ -227,123 +135,29 @@ class FleetWorker(MappingService):
         _INTERNAL.set(True)
         await self._handle(reader, writer)
 
-    # -- the shard router ------------------------------------------------
-    async def _route(self, method: str, path: str, body: bytes):
-        if _INTERNAL.get():
-            if method == "POST":             # not health/metrics probes
-                self.fleet_counters["routed_in"] += 1
-            return None                      # one hop: never re-forward
-        try:
-            inject("fleet.worker")
-        except Exception:
-            # The chaos contract for this site is a *crash*, not an
-            # error response: the worker dies mid-service, the client
-            # sees a severed connection and retries, and the
-            # supervisor respawns the slot.
-            os._exit(70)
-        if method != "POST" or len(self.internal_ports) < 2:
-            return None
-        try:
-            digest, map_key = self._shard_digest(path, body)
-        except Exception:
-            return None      # malformed request: local dispatch's 4xx
-        owner = self.ring.owner(digest)
-        if owner == self.worker_index:
-            self.fleet_counters["served_local_owner"] += 1
-            return None
-        loop = asyncio.get_running_loop()
-        if map_key is not None:
+    async def _handle(self, reader, writer) -> None:
+        if not _INTERNAL.get():
             try:
-                hit = await loop.run_in_executor(
-                    None, self.session.cached_map, map_key, digest)
+                inject("fleet.worker")
             except Exception:
-                hit = None
-            if hit is not None:
-                # Warm anywhere is warm here: the peek promoted the
-                # entry into the local LRU, so local dispatch is a
-                # cache hit and the hop is pure waste.
-                self.fleet_counters["served_local_warm"] += 1
-                return None
-        try:
-            status, payload, retry_after = await loop.run_in_executor(
-                None, self._forward, owner, method, path, body)
-        except Exception as exc:
-            logger.warning("forward to worker %d failed (%s); "
-                           "handling locally", owner, exc)
-            self.fleet_counters["forward_fallback"] += 1
-            return None
-        if status == 503:
-            # A draining or overloaded-to-timeout owner is the
-            # router's problem, not the client's: fall back to local
-            # computation.  (429 relays — admission is the owner's
-            # decision to make.)
-            self.fleet_counters["forward_fallback"] += 1
-            return None
-        self.fleet_counters["routed_out"] += 1
-        return status, payload, retry_after
-
-    def _shard_digest(self, path: str, body: bytes):
-        """``(digest, map cache key | None)`` for a POST body.
-
-        The digest is over the *same* key the single-flight layer
-        uses, so shard ownership and coalescing agree; the map cache
-        key (``/v1/map``, ``/v1/pareto``) feeds the warm peek.  Sweep
-        keys coalesce but are not themselves cache entries, so sweeps
-        return ``None`` and always forward when not owned.
-        """
-        payload = parse_json_body(body)
-        if path in ("/v1/map", "/v1/pareto"):
-            request = MapRequest.from_payload(payload)
-            key, _block, _library, _platform = self._map_key(request)
-            return stable_digest(key), key
-        if path == "/v1/sweep":
-            request = SweepRequest.from_payload(payload)
-            key, _pk, _libs, _blocks = self._sweep_key(request)
-            return stable_digest(key), None
-        raise ValueError(f"unrouted path {path!r}")
-
-    def _forward(self, owner: int, method: str, path: str, body: bytes):
-        """Blocking one-hop relay to ``owner``'s internal listener.
-
-        Runs on the default executor (never the request executor,
-        which tests may gate).  The relayed body is re-parsed and
-        re-rendered by ``_respond``; canonical JSON makes that a
-        byte-identical round trip, which the parity tests pin.
-        """
-        port = self.internal_ports[owner]
-        conn = http.client.HTTPConnection("127.0.0.1", port,
-                                          timeout=self.FORWARD_TIMEOUT)
-        try:
-            conn.request(method, path, body=body,
-                         headers={"Content-Type": "application/json"})
-            response = conn.getresponse()
-            data = response.read()
-            hint = response.getheader("Retry-After")
-        finally:
-            conn.close()
-        retry_after = None
-        if hint is not None:
-            try:
-                retry_after = float(hint)
-            except ValueError:
-                pass
-        return response.status, json.loads(data), retry_after
+                # The chaos contract for this site is a *crash*, not
+                # an error response: the worker dies mid-service, the
+                # client sees a severed connection and retries, and
+                # the supervisor respawns the slot.
+                os._exit(70)
+        await super()._handle(reader, writer)
 
     # -- observability ---------------------------------------------------
-    def _local_metrics(self) -> dict:
-        payload = MappingService._get_metrics(self)
-        payload["fleet"] = dict(self.fleet_counters)
-        return payload
-
     async def _get_metrics(self):
         """Fleet-wide ``/metrics``: every worker's local snapshot,
         merged.  Internal scrapes answer the local snapshot only —
         the aggregation never recurses.
         """
+        local = super()._get_metrics()
         if _INTERNAL.get():
-            return self._local_metrics()
+            return local
         loop = asyncio.get_running_loop()
-        snapshots = [self._local_metrics()]
+        snapshots = [local]
         missing = []
         peers = [index for index in range(len(self.internal_ports))
                  if index != self.worker_index]
@@ -370,9 +184,7 @@ class FleetWorker(MappingService):
                 "singleflight": merge_counters(
                     [s.get("singleflight", {}) for s in snapshots]),
                 "caches": merge_counters(
-                    [s.get("caches", {}) for s in snapshots]),
-                "fleet": merge_counters(
-                    [s.get("fleet", {}) for s in snapshots])}
+                    [s.get("caches", {}) for s in snapshots])}
 
     def _scrape(self, index: int) -> dict:
         conn = http.client.HTTPConnection(
@@ -393,8 +205,7 @@ class FleetWorker(MappingService):
         stats = super()._get_stats()
         stats["fleet"] = {"worker_index": self.worker_index,
                           "workers": len(self.internal_ports),
-                          "strategy": self.strategy,
-                          "counters": dict(self.fleet_counters)}
+                          "strategy": self.strategy}
         return stats
 
 
@@ -462,9 +273,9 @@ class FleetSupervisor:
     listens and never serves.
 
     When ``cache_dir`` is ``None`` the supervisor creates a private
-    shared cache directory (removed on :meth:`stop`), because the
-    cross-worker warm path *requires* all workers to share one sqlite
-    disk tier.
+    cache directory (removed on :meth:`stop`), because a fleet without
+    one shared sqlite disk tier would compute each cold key once per
+    worker and never serve one worker's answer from another.
     """
 
     def __init__(self, workers: int = 2, host: str = "127.0.0.1",
@@ -479,6 +290,11 @@ class FleetSupervisor:
                  respawn_backoff_cap: float = 5.0):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        # Checked here, not first in each forked worker, where a bad
+        # bound would crash-loop every slot through respawn.
+        if max_inflight is not None and max_inflight < 1:
+            raise ValueError(
+                f"max_inflight must be >= 1, got {max_inflight}")
         self.workers = workers
         self.host = host
         self.port = port

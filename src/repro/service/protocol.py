@@ -14,10 +14,10 @@ delegating to the api layer so a service response and a
 The historic names (``ServiceCatalog``, ``map_response``, ...) are
 re-exported unchanged for existing imports.
 
-Canonical JSON is also what makes the fleet's shard routing sound:
-``canonical_json(json.loads(body)) == body`` for any canonical body,
-so a response relayed worker-to-worker re-renders byte-identical to
-one served directly (pinned by the fleet parity tests).
+Canonical JSON is also what makes a fleet's answers independent of
+the worker that served them: every worker renders the same value to
+the same bytes, whether it computed the value or read it from the
+shared disk tier (pinned by the fleet parity tests).
 """
 
 from __future__ import annotations

@@ -18,9 +18,9 @@ serves:
 ====================  ======  =========================================
 
 The multi-process front (``python -m repro.service --workers N``) puts
-N of these services behind one port; see :mod:`repro.service.fleet`
-for the shard router, the supervisor, and the fleet-wide ``/metrics``
-aggregation.
+N of these services behind one port and one shared disk tier; see
+:mod:`repro.service.fleet` for the supervisor and the fleet-wide
+``/metrics`` aggregation.
 
 ``/v1/map``, ``/v1/pareto`` and ``/v1/sweep`` accept a ``workload``
 field selecting the workload-registry entry block names resolve in
@@ -338,21 +338,6 @@ class MappingService:
             await self._respond(writer, 503, {"error": "service is draining"},
                                 retry_after=self.retry_after_hint)
             return
-        # The fleet-routing hook: a worker that is not a request's
-        # shard owner answers with the owner's relayed response
-        # instead of dispatching locally.  Routed-out requests bypass
-        # the *local* admission gate deliberately — the owning
-        # worker's gate is the one that must decide, and its 429
-        # relays back through here.
-        routed = await self._route(method, path, body)
-        if routed is not None:
-            status, payload, retry_after = routed
-            if status >= 400:
-                self.errors += 1
-            self._observe(endpoint, started, status)
-            await self._respond(writer, status, payload,
-                                retry_after=retry_after)
-            return
         if not self.admission.try_acquire(endpoint):
             self.errors += 1
             self._observe(endpoint, started, 429)
@@ -383,17 +368,6 @@ class MappingService:
             self.errors += 1
         self._observe(endpoint, started, status)
         await self._respond(writer, status, payload, retry_after=retry_after)
-
-    async def _route(self, method: str, path: str, body: bytes):
-        """Shard-routing hook: ``None`` means "handle locally".
-
-        The base service always handles locally; the fleet's
-        :class:`~repro.service.fleet.FleetWorker` overrides this with
-        the consistent-hash router and returns a
-        ``(status, payload, retry_after)`` triple relayed from the
-        owning worker when the request belongs elsewhere.
-        """
-        return None
 
     def _observe(self, endpoint: str, started: float, status: int) -> None:
         """Record one answered request in the latency metrics."""
@@ -547,8 +521,8 @@ class MappingService:
     def _map_key(self, request: MapRequest):
         """``(cache key, block, library, platform)`` for one map or
         pareto request — the same key a direct ``MappingSession.map``
-        call builds, shared by the single-flight layer and the fleet's
-        shard router (both digest it with ``stable_digest``)."""
+        call builds, which the single-flight layer digests with
+        ``stable_digest``."""
         block = self.catalog.block(request.block, request.workload)
         library = self.catalog.library(request.library)
         platform = self.catalog.platform(request.platform)
@@ -603,9 +577,8 @@ class MappingService:
             accuracy_budget=request.accuracy_budget,
             workload=request.workload).to_payload()
 
-    def _sweep_key(self, request: SweepRequest):
-        """``(coalescing key, platform keys, libraries, blocks)`` for
-        one sweep request; the fleet router digests the same key."""
+    async def _post_sweep(self, payload) -> dict:
+        request = SweepRequest.from_payload(payload)
         platform_keys = self.catalog.platform_keys(request.platforms)
         libraries = None
         if request.libraries is not None:
@@ -621,11 +594,6 @@ class MappingService:
                request.libraries is None,
                tuple(fingerprint_block(b) for b in blocks.values()),
                request.tolerance, request.accuracy_budget)
-        return key, platform_keys, libraries, blocks
-
-    async def _post_sweep(self, payload) -> dict:
-        request = SweepRequest.from_payload(payload)
-        key, platform_keys, libraries, blocks = self._sweep_key(request)
         report = await self.flight.run(
             stable_digest(key),
             lambda: self._offload(self._sweep_work, request,

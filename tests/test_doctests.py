@@ -24,7 +24,6 @@ MODULES = [
     "repro.api",
     "repro.api.session",
     "repro.service.metrics",
-    "repro.service.fleet",
     "repro.codegen.lower",
     "repro.codegen.fixedpt",
     "repro.codegen.pysource",
