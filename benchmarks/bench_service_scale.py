@@ -32,8 +32,8 @@ import time
 
 from _scenarios import REPO_ROOT
 
+from repro.api import canonical_json
 from repro.service import FleetSupervisor, ServiceClient
-from repro.service.protocol import canonical_json
 
 OUTPUT = REPO_ROOT / "BENCH_service_scale.json"
 

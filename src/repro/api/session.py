@@ -24,15 +24,12 @@ from typing import Iterable, Mapping, Sequence
 from repro.api.catalog import ResourceCatalog
 from repro.api.config import SessionConfig
 from repro.api.types import MapRequest, MapResult, ParetoResult, VerifyResult
+from repro.api.types import checked_accuracy_budget, checked_tolerance
 from repro.frontend.extract import TargetBlock
 from repro.library.catalog import Library
 from repro.mapping.batch import BatchItem, BatchReport, run_batch
 from repro.mapping.cache import CacheTiers, clear_shared_caches, shared_cache_stats
-from repro.mapping.decompose import (
-    DecomposeResult,
-    _decompose_cached,
-    _map_block_cached,
-)
+from repro.mapping.decompose import DecomposeResult
 from repro.mapping.flow import MethodologyFlow, SweepReport
 from repro.mapping.pareto import BlockParetoResult
 from repro.platform.badge4 import Badge4
@@ -118,11 +115,43 @@ class MappingSession:
         return self.config.registry.label_for(platform), platform
 
     def _knobs(self, tolerance, accuracy_budget) -> tuple[float, float]:
+        """Per-call knobs, defaulted from the config and checked with
+        the wire's rule: a bad value raises 400, as on ``/v1/*``."""
         if tolerance is None:
             tolerance = self.config.tolerance
         if accuracy_budget is None:
             accuracy_budget = self.config.accuracy_budget
-        return tolerance, accuracy_budget
+        return checked_tolerance(tolerance), checked_accuracy_budget(accuracy_budget)
+
+    def _match(self, block, library, platform, tolerance, accuracy_budget, workload):
+        """Resolve one block-mapping request and match it through :meth:`batch`.
+
+        Returns ``(request, block, platform, winner, matches)``; the
+        match list is the cache line :meth:`map`, :meth:`pareto` and
+        :meth:`verify` share.
+        """
+        tolerance, accuracy_budget = self._knobs(tolerance, accuracy_budget)
+        workload_key = self._resolve_workload(workload)
+        block_name, block_obj = self._resolve_block(block, workload_key)
+        tags, library_obj = self._resolve_library(library)
+        label, platform_obj = self._resolve_platform(platform)
+        request = MapRequest(
+            block=block_name,
+            library=tags,
+            platform=label,
+            tolerance=tolerance,
+            accuracy_budget=accuracy_budget,
+            workload=workload_key,
+        )
+        item = BatchItem.for_block(
+            block_obj,
+            library_obj,
+            platform_obj,
+            tolerance=tolerance,
+            accuracy_budget=accuracy_budget,
+        )
+        winner, matches = self.batch([item]).results[0]
+        return request, block_obj, platform_obj, winner, matches
 
     # -- the methodology --------------------------------------------------
     def map(
@@ -144,21 +173,8 @@ class MappingSession:
         registry entry the block name resolves in (default: the
         session's, normally ``"mp3"``).
         """
-        tolerance, accuracy_budget = self._knobs(tolerance, accuracy_budget)
-        workload_key = self._resolve_workload(workload)
-        block_name, block_obj = self._resolve_block(block, workload_key)
-        tags, library_obj = self._resolve_library(library)
-        label, platform_obj = self._resolve_platform(platform)
-        request = MapRequest(
-            block=block_name,
-            library=tags,
-            platform=label,
-            tolerance=tolerance,
-            accuracy_budget=accuracy_budget,
-            workload=workload_key,
-        )
-        winner, matches = _map_block_cached(
-            block_obj, library_obj, platform_obj, tolerance, accuracy_budget, self.tiers
+        request, _block, platform_obj, winner, matches = self._match(
+            block, library, platform, tolerance, accuracy_budget, workload
         )
         return MapResult(
             request=request,
@@ -192,27 +208,14 @@ class MappingSession:
         energy — never cached, never part of the cache key — and the
         default (unmeasured) wire bytes are unchanged.
         """
-        tolerance, accuracy_budget = self._knobs(tolerance, accuracy_budget)
-        workload_key = self._resolve_workload(workload)
-        block_name, block_obj = self._resolve_block(block, workload_key)
-        tags, library_obj = self._resolve_library(library)
-        label, platform_obj = self._resolve_platform(platform)
-        request = MapRequest(
-            block=block_name,
-            library=tags,
-            platform=label,
-            tolerance=tolerance,
-            accuracy_budget=accuracy_budget,
-            workload=workload_key,
-        )
-        _winner, matches = _map_block_cached(
-            block_obj, library_obj, platform_obj, tolerance, accuracy_budget, self.tiers
+        request, block_obj, platform_obj, _winner, matches = self._match(
+            block, library, platform, tolerance, accuracy_budget, workload
         )
         measure_fn = None
         if measure:
             from repro.codegen.verify import match_measurer, stimulus_for_block
 
-            stimulus = stimulus_for_block(block_obj, workload_key)
+            stimulus = stimulus_for_block(block_obj, request.workload)
             measure_fn = match_measurer(block_obj, stimulus=stimulus)
         result = BlockParetoResult.from_matches(
             block_obj.name, platform_obj, matches, measure=measure_fn
@@ -241,21 +244,8 @@ class MappingSession:
         Returns a typed :class:`~repro.api.VerifyResult` whose
         ``to_json()`` is the service's ``/v1/verify`` wire format.
         """
-        tolerance, accuracy_budget = self._knobs(tolerance, accuracy_budget)
-        workload_key = self._resolve_workload(workload)
-        block_name, block_obj = self._resolve_block(block, workload_key)
-        tags, library_obj = self._resolve_library(library)
-        label, platform_obj = self._resolve_platform(platform)
-        request = MapRequest(
-            block=block_name,
-            library=tags,
-            platform=label,
-            tolerance=tolerance,
-            accuracy_budget=accuracy_budget,
-            workload=workload_key,
-        )
-        winner, _matches = _map_block_cached(
-            block_obj, library_obj, platform_obj, tolerance, accuracy_budget, self.tiers
+        request, block_obj, platform_obj, winner, _matches = self._match(
+            block, library, platform, tolerance, accuracy_budget, workload
         )
         measurement = None
         if winner is not None:
@@ -264,7 +254,7 @@ class MappingSession:
             vectors = (
                 tuple(stimulus)
                 if stimulus is not None
-                else stimulus_for_block(block_obj, workload_key)
+                else stimulus_for_block(block_obj, request.workload)
             )
             measurement = measure_match(block_obj, winner, stimulus=vectors)
         return VerifyResult(
@@ -290,9 +280,10 @@ class MappingSession:
         exactly, so session calls and ``BatchItem.for_target`` batch
         submissions share cache lines.
         """
+        tolerance, accuracy_budget = self._knobs(tolerance, accuracy_budget)
         _tags, library_obj = self._resolve_library(library)
         _label, platform_obj = self._resolve_platform(platform)
-        return _decompose_cached(
+        item = BatchItem.for_target(
             target,
             library_obj,
             platform_obj,
@@ -302,27 +293,13 @@ class MappingSession:
             max_nodes=max_nodes,
             use_hints=use_hints,
             use_bounding=use_bounding,
-            tiers=self.tiers,
         )
+        return self.batch([item]).results[0]
 
-    def batch(
-        self,
-        items: Iterable[BatchItem],
-        *,
-        workers: "int | None" = None,
-        executor=None,
-    ) -> BatchReport:
-        """Resolve a batch of work items against this session's tiers.
-
-        ``workers``/``executor`` default to the session config; an
-        explicit argument wins for this call only.
-        """
-        return run_batch(
-            list(items),
-            workers=self.config.workers if workers is None else workers,
-            executor=self.config.executor if executor is None else executor,
-            tiers=self.tiers,
-        )
+    def batch(self, items: Iterable[BatchItem]) -> BatchReport:
+        """Resolve a batch of work items against this session's tiers,
+        fanning cold ones across ``config.workers`` processes."""
+        return run_batch(list(items), workers=self.config.workers, tiers=self.tiers)
 
     def sweep(
         self,
@@ -332,8 +309,6 @@ class MappingSession:
         *,
         tolerance: "float | None" = None,
         accuracy_budget: "float | None" = None,
-        workers: "int | None" = None,
-        executor=None,
         workload: "str | None" = None,
     ) -> SweepReport:
         """Map every block against every library on every platform.
@@ -368,11 +343,6 @@ class MappingSession:
             block_map = {
                 name: self.catalog.block(name, workload_key) for name in blocks
             }
-        overrides: dict = {}
-        if workers is not None:
-            overrides["workers"] = workers
-        if executor is not None:
-            overrides["executor"] = executor
         return self.flow().sweep(
             platforms=platforms,
             libraries=libs,
@@ -380,7 +350,6 @@ class MappingSession:
             tolerance=tolerance,
             accuracy_budget=accuracy_budget,
             workload=workload_key,
-            **overrides,
         )
 
     def flow(
@@ -390,8 +359,8 @@ class MappingSession:
     ) -> MethodologyFlow:
         """A session-bound :class:`~repro.mapping.flow.MethodologyFlow`.
 
-        Wired with this session's tiers, worker count, executor and
-        block catalog.  The default flow (no arguments) is memoized —
+        Wired with this session's tiers, worker count and block
+        catalog.  The default flow (no arguments) is memoized —
         repeated :meth:`sweep` calls share one — while explicit
         platform/threshold arguments build a fresh instance.
         """
@@ -407,7 +376,6 @@ class MappingSession:
             platform=platform,
             critical_threshold_percent=threshold,
             workers=self.config.workers,
-            executor=self.config.executor,
             blocks=self.catalog.blocks(),
             tiers=self.tiers,
             registry=self.config.registry,

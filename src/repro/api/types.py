@@ -40,6 +40,8 @@ __all__ = [
     "DEFAULT_WORKLOAD",
     "ACCURACY_BUDGET_MESSAGE",
     "TOLERANCE_MESSAGE",
+    "checked_accuracy_budget",
+    "checked_tolerance",
     "canonical_json",
     "MapRequest",
     "SweepRequest",
@@ -58,8 +60,9 @@ DEFAULT_LIBRARY = ("REF", "LM", "IH", "IPP")
 DEFAULT_PLATFORM = "SA-1110"
 
 #: The one wording for a negative accuracy budget, shared verbatim by
-#: the CLI (argparse error) and the service (HTTP 400) so both
-#: surfaces refuse identically instead of silently returning an empty
+#: the service (HTTP 400), the CLI (argparse error) and the session
+#: (``ServiceError``; ``ValueError`` from ``SessionConfig``) so every
+#: surface refuses identically instead of silently returning an empty
 #: front.
 ACCURACY_BUDGET_MESSAGE = "field 'accuracy_budget' must be a nonnegative number"
 
@@ -67,6 +70,22 @@ ACCURACY_BUDGET_MESSAGE = "field 'accuracy_budget' must be a nonnegative number"
 #: same way.  A NaN or infinite tolerance accepts every coefficient, so
 #: the cheapest element of any arity would "match" every block.
 TOLERANCE_MESSAGE = "field 'tolerance' must be a finite nonnegative number"
+
+
+def checked_tolerance(value: float) -> float:
+    """``value`` if it is finite and >= 0, else a 400 — the one tolerance
+    rule the service, the CLI and the session all apply."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ServiceError(400, TOLERANCE_MESSAGE)
+    return value
+
+
+def checked_accuracy_budget(value: float) -> float:
+    """``value`` if it is >= 0 (NaN fails), else a 400 — the one budget
+    rule, shared the same way."""
+    if not value >= 0:
+        raise ServiceError(400, ACCURACY_BUDGET_MESSAGE)
+    return value
 
 
 def canonical_json(payload) -> bytes:
@@ -109,20 +128,6 @@ def _number(payload: dict, key: str, default: float) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ServiceError(400, f"field {key!r} must be a number")
     return float(value)
-
-
-def _accuracy_budget(payload: dict, default: float) -> float:
-    value = _number(payload, "accuracy_budget", default)
-    if value < 0 or math.isnan(value):
-        raise ServiceError(400, ACCURACY_BUDGET_MESSAGE)
-    return value
-
-
-def _tolerance(payload: dict, default: float) -> float:
-    value = _number(payload, "tolerance", default)
-    if not math.isfinite(value) or value < 0:
-        raise ServiceError(400, TOLERANCE_MESSAGE)
-    return value
 
 
 def _string_tuple(payload: dict, key: str, default) -> tuple:
@@ -183,8 +188,10 @@ class MapRequest:
             block=_string(payload, "block"),
             library=_string_tuple(payload, "library", DEFAULT_LIBRARY),
             platform=_string(payload, "platform", DEFAULT_PLATFORM),
-            tolerance=_tolerance(payload, 1e-6),
-            accuracy_budget=_accuracy_budget(payload, math.inf),
+            tolerance=checked_tolerance(_number(payload, "tolerance", 1e-6)),
+            accuracy_budget=checked_accuracy_budget(
+                _number(payload, "accuracy_budget", math.inf)
+            ),
             workload=_string(payload, "workload", DEFAULT_WORKLOAD),
         )
 
@@ -239,8 +246,10 @@ class SweepRequest:
             platforms=_string_tuple(payload, "platforms", None),
             libraries=_string_tuple(payload, "libraries", None),
             blocks=_string_tuple(payload, "blocks", None),
-            tolerance=_tolerance(payload, 1e-6),
-            accuracy_budget=_accuracy_budget(payload, math.inf),
+            tolerance=checked_tolerance(_number(payload, "tolerance", 1e-6)),
+            accuracy_budget=checked_accuracy_budget(
+                _number(payload, "accuracy_budget", math.inf)
+            ),
             workload=_string(payload, "workload", DEFAULT_WORKLOAD),
         )
 

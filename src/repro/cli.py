@@ -37,13 +37,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 
 from repro.api import MappingSession, SessionConfig, canonical_json
-from repro.api.types import ACCURACY_BUDGET_MESSAGE, TOLERANCE_MESSAGE
-from repro.errors import ReproError
+from repro.api.types import checked_accuracy_budget, checked_tolerance
+from repro.errors import ReproError, ServiceError
 
 __all__ = ["build_parser", "main"]
 
@@ -62,27 +61,22 @@ def _float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
 
 
-def _accuracy_budget(text: str) -> float:
-    """Argparse type for ``--accuracy-budget``: a nonnegative float.
+def _knob(check):
+    """An argparse type checking a float with one of the wire's knob
+    rules (:mod:`repro.api.types`), refused with the service's 400
+    wording so both surfaces refuse identically."""
 
-    Rejects negatives with the same message the service's 400 carries
-    (:data:`~repro.api.types.ACCURACY_BUDGET_MESSAGE`), so both
-    surfaces refuse identically.
-    """
-    value = _float(text)
-    if value < 0 or value != value:
-        raise argparse.ArgumentTypeError(ACCURACY_BUDGET_MESSAGE)
-    return value
+    def parse(text: str) -> float:
+        try:
+            return check(_float(text))
+        except ServiceError as err:
+            raise argparse.ArgumentTypeError(err.message) from None
+
+    return parse
 
 
-def _tolerance(text: str) -> float:
-    """Argparse type for ``--tolerance``: a finite nonnegative float,
-    refused with the service's 400 wording
-    (:data:`~repro.api.types.TOLERANCE_MESSAGE`)."""
-    value = _float(text)
-    if not math.isfinite(value) or value < 0:
-        raise argparse.ArgumentTypeError(TOLERANCE_MESSAGE)
-    return value
+_tolerance = _knob(checked_tolerance)
+_accuracy_budget = _knob(checked_accuracy_budget)
 
 
 def _parse_list(text: str) -> tuple[str, ...]:
@@ -245,13 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="fork N worker processes behind the port (the fleet "
         "front; SIGHUP rolls them over one at a time; default: one "
         "in-process service)",
-    )
-    p_serve.add_argument(
-        "--map-workers",
-        type=int,
-        default=None,
-        help="share one process pool of N workers across all batch "
-        "submissions (default: in-thread serial)",
     )
     p_serve.add_argument(
         "--cache-dir",
@@ -529,8 +516,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         argv += ["--port", str(args.port)]
     if args.workers is not None:
         argv += ["--workers", str(args.workers)]
-    if args.map_workers is not None:
-        argv += ["--map-workers", str(args.map_workers)]
     if args.cache_dir is not None:
         argv += ["--cache-dir", args.cache_dir]
     if args.request_timeout is not None:

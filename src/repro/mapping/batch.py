@@ -29,8 +29,6 @@ Degradation is graceful by design:
   whole ``ProcessPoolExecutor``) — the items that never ran get one
   fresh pool (``stats.pool_respawns``) before the serial fallback, so
   a single crashed worker does not serialize the entire remainder.
-  Caller-owned executors are never respawned; their broken items go
-  straight to the serial path.
 
 Parallel and serial runs produce identical results: the work functions
 are pure, and every value is derived from the same fingerprinted
@@ -39,7 +37,10 @@ inputs (asserted in ``tests/mapping/test_batch.py``).
 Cache ownership: ``run_batch(tiers=...)`` resolves and merges against
 the caller's :class:`~repro.mapping.cache.CacheTiers` — in practice a
 session's — so concurrent owners with different cache directories stay
-isolated.
+isolated.  It is the only code that reads or writes a tier bundle:
+``MappingSession.map``/``pareto``/``verify``/``decompose`` submit one
+item each, so a session call and a batch share every cache line and
+count hits, misses and writes the same way.
 """
 
 from __future__ import annotations
@@ -233,9 +234,7 @@ def _compute_cold(
     """In-process cold execution, merging straight into the tiers.
 
     The caller has already keyed the item and missed both tiers, so
-    this goes directly to the uncached search — re-entering the public
-    entry points would redo the key/digest/lookup work and double-count
-    the misses in :meth:`~repro.mapping.cache.CacheTiers.stats`.
+    this goes directly to the uncached search.
     """
     platform = item.platform or default_platform
     knobs = dict(item.knobs)
@@ -278,7 +277,6 @@ def run_batch(
     items: Iterable[BatchItem],
     *,
     workers: int | None = None,
-    executor: "Executor | None" = None,
     tiers: CacheTiers,
 ) -> BatchReport:
     """Resolve a batch of mapping work items, fanning cold ones out.
@@ -290,31 +288,25 @@ def run_batch(
         are deduplicated by content fingerprint, not identity).
     workers:
         Worker processes for the cold remainder.  ``None``/0/1 runs
-        serially in-process; higher values use a process pool.
-    executor:
-        An injectable :class:`concurrent.futures.Executor` for the
-        cold fan-out.  When given, it is used instead of forking a
-        fresh ``ProcessPoolExecutor`` per call and is *never* shut
-        down here — the owner (a long-running service, a test
-        harness) controls its lifetime.  Jobs still cross the
-        executor boundary pre-pickled, so process and thread pools
-        behave identically.
+        serially in-process; higher values fork a process pool for
+        this call when at least two items are cold.  It pays on
+        Decompose searches (``bench_batch_mapping.py``: ``workers=2``
+        beat serial in 3 of 3 pairs on a 2-vCPU host, 1.53–2.17 s
+        against 2.27–2.47 s), not on block matches, which are too
+        cheap to amortize a pool (a warm 2-process pool made sweeps
+        3–13× slower than serial, mp3 0.22 → 0.68 s).
     tiers:
         The :class:`~repro.mapping.cache.CacheTiers` to resolve and
         merge against (sessions pass their own).
 
     Returns a :class:`BatchReport` whose ``results`` align with the
     submission order.  Every computed value is merged back into the
-    in-memory LRU and (when configured) the disk tier, so subsequent
-    cached calls against the same tiers hit.
+    in-memory LRU and (when configured) the disk tier, so later calls
+    against the same tiers hit.
     """
     items = list(items)
     stats = BatchStats(submitted=len(items))
     effective = max(1, int(workers or 1))
-    if executor is not None:
-        # An injected pool parallelizes regardless of `workers`; its
-        # own max_workers governs the real fan-out width.
-        effective = max(effective, getattr(executor, "_max_workers", None) or 2)
     default_platform = Badge4()
     tier = tiers.disk()
 
@@ -347,7 +339,7 @@ def run_batch(
     stats.workers = min(effective, len(cold)) if cold else 1
 
     if cold and effective > 1 and len(cold) > 1:
-        _run_parallel(cold, resolved, stats, tier, tiers, default_platform, executor)
+        _run_parallel(cold, resolved, stats, tier, tiers, default_platform)
     else:
         for key, digest, item in cold:
             resolved[key] = _compute_cold(
@@ -369,7 +361,6 @@ def _run_parallel(
     tier,
     tiers: CacheTiers,
     default_platform: Badge4,
-    executor: "Executor | None" = None,
 ) -> None:
     """Fan the cold items out, falling back serially where needed."""
     jobs: list[tuple[tuple, object, BatchItem, bytes]] = []
@@ -392,17 +383,7 @@ def _run_parallel(
         stats.serial_jobs += 1
         return
 
-    if executor is not None:
-        # Caller-owned pool: submit straight into it, never shut it
-        # down, never respawn it (its lifetime belongs to the owner) —
-        # items a broken injected pool orphans degrade serially like
-        # any other worker failure.
-        serial, respawn = _collect_jobs(executor, jobs, resolved, stats, tier, tiers)
-        serial.extend(job[:3] for job in respawn)
-    else:
-        serial = _run_private_pool(jobs, resolved, stats, tier, tiers)
-
-    for key, digest, item in serial:
+    for key, digest, item in _run_private_pool(jobs, resolved, stats, tier, tiers):
         stats.worker_retries += 1
         resolved[key] = _compute_cold(item, key, digest, tier, tiers, default_platform)
         stats.serial_jobs += 1

@@ -21,10 +21,12 @@ elements:
 Worst case remains exponential (the paper says so too); node and depth
 limits keep practice polite.
 
-The module-level :func:`decompose` is the plain, uncached search.
-Memoized entry points belong to the cache owner: the session facade
-(:class:`repro.api.MappingSession`) calls the ``_*_cached`` internals
-here with its own :class:`~repro.mapping.cache.CacheTiers`.
+The module-level :func:`decompose` is the plain, uncached search.  This
+module also owns the two cache keys (``_decompose_key``,
+``_map_block_key``) and the uncached work functions behind them; the
+only code that reads or writes cache tiers with those keys is the
+batch engine (:func:`repro.mapping.batch.run_batch`), which every
+session call goes through.
 """
 
 from __future__ import annotations
@@ -37,11 +39,9 @@ from repro.errors import GroebnerExplosion
 from repro.frontend.extract import TargetBlock
 from repro.library.catalog import Library
 from repro.mapping.cache import (
-    CacheTiers,
     fingerprint_block,
     fingerprint_library,
     fingerprint_platform,
-    stable_digest,
 )
 from repro.mapping.candidates import structural_hints
 from repro.mapping.match import (
@@ -77,8 +77,8 @@ def _decompose_key(
 ) -> tuple:
     """The cache key of one decompose work item.
 
-    Shared between the cached search and the batch engine so a batch
-    prewarm and a later direct call land on the same cache line — in
+    Built by the batch engine for every decompose item, so a batch
+    prewarm and a later session call land on the same cache line — in
     memory (hashable tuple) and on disk (via
     :func:`~repro.mapping.cache.stable_digest`).  Polynomials, elements
     and libraries enter as content digests, so the key stays small.
@@ -223,58 +223,6 @@ def decompose(
         use_hints=use_hints,
         use_bounding=use_bounding,
     )
-
-
-def _decompose_cached(
-    target: Polynomial,
-    library: Library,
-    platform: Badge4,
-    *,
-    tolerance: float,
-    accuracy_budget: float,
-    max_depth: int,
-    max_nodes: int,
-    use_hints: bool,
-    use_bounding: bool,
-    tiers: CacheTiers,
-) -> DecomposeResult:
-    """The two-tier cached search against an explicit tier bundle."""
-    key = _decompose_key(
-        target,
-        library,
-        platform,
-        tolerance,
-        accuracy_budget,
-        max_depth,
-        max_nodes,
-        use_hints,
-        use_bounding,
-    )
-    cached = tiers.decompose.get(key)
-    if cached is not None:
-        return cached
-    tier = tiers.disk()
-    digest = stable_digest(key) if tier is not None else None
-    if tier is not None:
-        stored = tier.get(digest)
-        if stored is not None:
-            tiers.decompose.put(key, stored)
-            return stored
-    result = _decompose_uncached(
-        target,
-        library,
-        platform,
-        tolerance=tolerance,
-        accuracy_budget=accuracy_budget,
-        max_depth=max_depth,
-        max_nodes=max_nodes,
-        use_hints=use_hints,
-        use_bounding=use_bounding,
-    )
-    tiers.decompose.put(key, result)
-    if tier is not None:
-        tier.put(digest, result)
-    return result
 
 
 def _decompose_uncached(
@@ -453,47 +401,6 @@ def _candidate_instantiations(
     return [inst for _, _, inst in scored[:24]]
 
 
-def _map_block_cached(
-    block: TargetBlock,
-    library: Library,
-    platform: Badge4,
-    tolerance: float,
-    accuracy_budget: float,
-    tiers: CacheTiers,
-) -> tuple[BlockMatch | None, list[BlockMatch]]:
-    """Two-tier cached block matching against an explicit tier bundle.
-
-    This is the one-step matching that sends the IMDCT loop nest to
-    ``IppsMDCTInv_MP3_32s``: every candidate element whose rows match
-    the block's polynomials within tolerance is characterized, and the
-    cheapest with sufficient accuracy wins.  Returns
-    ``(winner_or_None, all_matches)``.
-
-    Re-mapping the same block against the same library ladder (every
-    pass of :meth:`~repro.mapping.flow.MethodologyFlow.run_passes`,
-    every benchmark round, every fresh CI process with a warm cache
-    dir) is a cache hit.
-    """
-    key = _map_block_key(block, library, platform, tolerance, accuracy_budget)
-    cached = tiers.map_block.get(key)
-    if cached is not None:
-        winner, matches = cached
-        return winner, list(matches)
-    tier = tiers.disk()
-    digest = stable_digest(key) if tier is not None else None
-    if tier is not None:
-        stored = tier.get(digest)
-        if stored is not None:
-            tiers.map_block.put(key, stored)
-            winner, matches = stored
-            return winner, list(matches)
-    value = _map_block_uncached(block, library, platform, tolerance, accuracy_budget)
-    tiers.map_block.put(key, value)
-    if tier is not None:
-        tier.put(digest, value)
-    return value[0], list(value[1])
-
-
 def _map_block_uncached(
     block: TargetBlock,
     library: Library,
@@ -501,7 +408,14 @@ def _map_block_uncached(
     tolerance: float,
     accuracy_budget: float,
 ) -> tuple[BlockMatch | None, tuple[BlockMatch, ...]]:
-    """The search behind :func:`_map_block_cached`, in LRU-value shape."""
+    """One-step block matching, in LRU-value shape.
+
+    This is the match that sends the IMDCT loop nest to
+    ``IppsMDCTInv_MP3_32s``: every candidate element whose rows match
+    the block's polynomials within tolerance is characterized, and the
+    cheapest with sufficient accuracy wins.  Returns
+    ``(winner_or_None, all_matches)``.
+    """
     matches: list[BlockMatch] = []
     # Name-sorted for the same reason as _candidate_instantiations: the
     # cost-sort below must break ties independent of assembly order.

@@ -16,8 +16,8 @@ Calling :meth:`run_passes` with the paper's library ladder (LM+IH, then
 LM+IH+IPP) regenerates Tables 4, 5 and 6 mechanically.
 
 A flow can be session-bound: :meth:`repro.api.MappingSession.flow`
-builds one wired to the session's cache tiers, worker count, executor
-and block catalog, so every pass resolves against session-owned state.
+builds one wired to the session's cache tiers, worker count and block
+catalog, so every pass resolves against session-owned state.
 A bare flow owns private memory-only tiers.
 """
 
@@ -263,29 +263,20 @@ def _sweep_library_ladder() -> list[Library]:
     return [library for _name, library in _mapping_ladder()]
 
 
-#: Explicit "not passed" marker for sweep knobs that default to the
-#: flow's own configuration (``None`` is a meaningful value for both).
-_UNSET = object()
-
-
 class MethodologyFlow:
     """Drives characterize -> identify -> map on the MP3 decoder.
 
     ``workers`` sets the batch-mapping fan-out: each pass's critical
-    blocks are submitted to :func:`~repro.mapping.batch.run_batch`
-    together, deduplicated against both cache tiers, and the cold
-    remainder mapped in parallel worker processes.  ``None`` (default)
-    keeps everything serial and in-process — results are identical
-    either way.
+    blocks (and each sweep's cells) are submitted to
+    :func:`~repro.mapping.batch.run_batch` together, deduplicated
+    against both cache tiers, and the cold remainder mapped in
+    parallel worker processes.  ``None`` (default) keeps everything
+    serial and in-process — results are identical either way, and
+    block matches are too cheap for a pool to pay (see ``run_batch``).
 
-    ``executor`` injects a caller-owned
-    :class:`concurrent.futures.Executor` into every batch submission
-    (see :func:`~repro.mapping.batch.run_batch`): a long-running
-    front-end — the mapping service — keeps one warm pool across
-    requests instead of forking per call.  ``blocks`` overrides the
-    extracted complex target blocks; the service injects its shared
-    catalog so frontend extraction happens once per process, not once
-    per flow.  ``tiers`` binds the flow to an explicit
+    ``blocks`` overrides the extracted complex target blocks; sessions
+    inject their shared catalog so frontend extraction happens once
+    per process, not once per flow.  ``tiers`` binds the flow to an explicit
     :class:`~repro.mapping.cache.CacheTiers` (a session's); ``None``
     gives the flow its own memory-only tiers.  ``registry`` is the
     processor catalog :meth:`sweep` resolves platform keys against
@@ -301,7 +292,6 @@ class MethodologyFlow:
         platform: Badge4 | None = None,
         critical_threshold_percent: float = 5.0,
         workers: int | None = None,
-        executor=None,
         blocks: "Mapping[str, TargetBlock] | None" = None,
         tiers: "CacheTiers | None" = None,
         registry=None,
@@ -311,7 +301,6 @@ class MethodologyFlow:
         self.platform = platform or Badge4()
         self.threshold = critical_threshold_percent
         self.workers = workers
-        self.executor = executor
         self.tiers = tiers if tiers is not None else CacheTiers()
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
         self.workloads = (
@@ -387,7 +376,6 @@ class MethodologyFlow:
                 for _name, block in blocks
             ],
             workers=self.workers,
-            executor=self.executor,
             tiers=self.tiers,
         )
         for (name, block), (winner, _all) in zip(blocks, batch.results):
@@ -418,8 +406,6 @@ class MethodologyFlow:
         workload: "str | None" = None,
         tolerance: float = 1e-6,
         accuracy_budget: float = float("inf"),
-        workers=_UNSET,
-        executor=_UNSET,
     ) -> SweepReport:
         """Map every block against every library on every platform.
 
@@ -436,9 +422,8 @@ class MethodologyFlow:
         (LM+IH, then LM+IH+IPP, both over REF); ``workload`` selects a
         workload-registry block set (default: the flow's own, normally
         ``mp3``), and an explicit ``blocks`` mapping overrides the
-        block objects while keeping the workload label.  ``workers``/
-        ``executor`` default to the flow's own configuration; the
-        cache tiers and processor registry are always the flow's.
+        block objects while keeping the workload label.  The worker
+        count, cache tiers and processor registry are the flow's.
         """
         resolved = self.registry.resolve(platforms)
         libs = list(libraries) if libraries is not None else _sweep_library_ladder()
@@ -476,12 +461,7 @@ class MethodologyFlow:
                         )
                     )
 
-        batch = run_batch(
-            items,
-            workers=self.workers if workers is _UNSET else workers,
-            executor=self.executor if executor is _UNSET else executor,
-            tiers=self.tiers,
-        )
+        batch = run_batch(items, workers=self.workers, tiers=self.tiers)
 
         entries: list[SweepEntry] = []
         for (label, platform, lib_name, block_name), (_winner, matches) in zip(

@@ -10,22 +10,18 @@ any request over one shared disk tier, fleet-wide ``/metrics``,
 rolling restarts).  See
 :mod:`repro.service.server` for the request lifecycle and
 ``docs/architecture.md`` ("Service layer" / "Fleet front") for how it
-sits on the batch engine.
+sits on the batch engine.  The wire types (requests, results,
+:func:`~repro.api.canonical_json`) are :mod:`repro.api`'s; import them
+from there.
 """
 
 from repro.errors import ServiceError
 from repro.service.client import ServiceClient
 from repro.service.fleet import FleetSupervisor, FleetWorker
-from repro.service.protocol import (DEFAULT_LIBRARY, DEFAULT_PLATFORM,
-                                    MapRequest, ServiceCatalog,
-                                    SweepRequest, canonical_json)
 from repro.service.server import DEFAULT_PORT, MappingService, ServiceThread
 from repro.service.singleflight import SingleFlight
 
 __all__ = [
     "MappingService", "ServiceThread", "ServiceClient", "SingleFlight",
-    "FleetSupervisor", "FleetWorker",
-    "MapRequest", "SweepRequest", "ServiceCatalog", "ServiceError",
-    "canonical_json", "DEFAULT_PORT", "DEFAULT_LIBRARY",
-    "DEFAULT_PLATFORM",
+    "FleetSupervisor", "FleetWorker", "ServiceError", "DEFAULT_PORT",
 ]

@@ -66,10 +66,6 @@ def _parser() -> argparse.ArgumentParser:
                              "(the fleet front; SIGHUP rolls them "
                              "over one at a time; default: one "
                              "in-process service)")
-    parser.add_argument("--map-workers", type=int, default=None,
-                        help="share one process pool of N workers "
-                             "across all batch submissions (default: "
-                             "in-thread serial)")
     parser.add_argument("--cache-dir", default=None,
                         help="pin the persistent mapping cache tier "
                              "to this directory")
@@ -99,7 +95,7 @@ def _parser() -> argparse.ArgumentParser:
 
 async def _serve(args: argparse.Namespace) -> None:
     service = MappingService(
-        host=args.host, port=args.port, map_workers=args.map_workers,
+        host=args.host, port=args.port,
         cache_dir=args.cache_dir, request_timeout=args.request_timeout,
         max_inflight=args.max_inflight, retry_after_hint=args.retry_after,
         drain_grace=args.drain_grace)
@@ -133,7 +129,7 @@ def _serve_fleet(args: argparse.Namespace) -> None:
     """The --workers N path: supervise, answer signals, never serve."""
     supervisor = FleetSupervisor(
         workers=args.workers, host=args.host, port=args.port,
-        cache_dir=args.cache_dir, map_workers=args.map_workers,
+        cache_dir=args.cache_dir,
         request_timeout=args.request_timeout,
         max_inflight=args.max_inflight,
         retry_after_hint=args.retry_after,

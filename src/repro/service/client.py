@@ -2,9 +2,9 @@
 
 One class, no dependencies: CI smoke steps, benchmarks and examples
 talk to a running :class:`~repro.service.server.MappingService`
-through it.  Payloads are built by the request dataclasses in
-:mod:`repro.service.protocol`, so a client request and the server's
-validation can never drift apart.
+through it.  Payloads are built by the request dataclasses of
+:mod:`repro.api`, the same ones the server validates with, so a client
+request and the server's validation can never drift apart.
 
 >>> client = ServiceClient("http://127.0.0.1:8357")   # doctest: +SKIP
 >>> client.map_block("inv_mdctL")["winner"]           # doctest: +SKIP
@@ -19,11 +19,10 @@ import time
 import urllib.error
 import urllib.request
 
+from repro.api import (DEFAULT_LIBRARY, DEFAULT_PLATFORM, MapRequest,
+                       SweepRequest, canonical_json)
 from repro.errors import ServiceError
 from repro.resilience import DEFAULT_RETRY_POLICY, RetryPolicy
-from repro.service.protocol import (DEFAULT_LIBRARY, DEFAULT_PLATFORM,
-                                    MapRequest, SweepRequest,
-                                    canonical_json)
 
 __all__ = ["ServiceClient"]
 

@@ -280,7 +280,6 @@ class FleetSupervisor:
 
     def __init__(self, workers: int = 2, host: str = "127.0.0.1",
                  port: int = 0, *, cache_dir: "str | None" = None,
-                 map_workers: "int | None" = None,
                  request_timeout: float = 300.0,
                  max_inflight: "int | None" = None,
                  retry_after_hint: float = 1.0,
@@ -302,8 +301,7 @@ class FleetSupervisor:
         self.restarts = 0
         self.cache_dir = cache_dir
         self.drain_grace = drain_grace
-        self._config = {"map_workers": map_workers,
-                        "request_timeout": request_timeout,
+        self._config = {"request_timeout": request_timeout,
                         "max_inflight": max_inflight,
                         "retry_after_hint": retry_after_hint,
                         "drain_grace": drain_grace}

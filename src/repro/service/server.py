@@ -34,9 +34,9 @@ Request lifecycle, stated once (and documented in
    ``max_inflight`` it is shed immediately with ``429`` +
    ``Retry-After`` (a draining service answers ``503``), so overload
    costs the cheapest possible work;
-2. **parse** — strict JSON validation into request dataclasses
-   (:mod:`repro.service.protocol`); malformed input answers 400,
-   unknown resources 404, nothing heavy has run yet;
+2. **parse** — strict JSON validation into the request dataclasses of
+   :mod:`repro.api.types`; malformed input answers 400, unknown
+   resources 404, nothing heavy has run yet;
 3. **fingerprint** — the request resolves to the *same* cache key a
    direct ``MappingSession.map`` call builds, digested with
    :func:`~repro.mapping.cache.stable_digest`;
@@ -44,13 +44,15 @@ Request lifecycle, stated once (and documented in
    in-flight computation (:mod:`repro.service.singleflight`);
 5. **batch engine** — the flight leader dispatches the work off the
    event loop onto a worker-thread executor, where it runs through
-   :func:`~repro.mapping.batch.run_batch` (optionally fanning cold
-   items across a shared, service-owned process pool);
+   the session's :func:`~repro.mapping.batch.run_batch` (the only
+   code that reads or writes the cache tiers);
 6. **cache write-through** — the engine merges results into the LRU
    and disk tiers, so the next identical request — this process or the
    next — is a cache hit, not a computation;
-7. **canonical JSON** — responses are rendered byte-stably, so cold,
-   warm and coalesced answers are byte-identical.
+7. **canonical JSON** — responses are rendered per request from
+   label-free cached values, byte-stably, so cold, warm and coalesced
+   answers are byte-identical and always carry the labels of the
+   request they answer.
 
 Failure is part of the contract: a timed-out dispatch answers ``503``
 with a ``Retry-After`` hint (not a hung or severed connection), a
@@ -68,12 +70,15 @@ from __future__ import annotations
 
 import asyncio
 import inspect
+import json
 import logging
 import math
 import threading
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
-from repro.api import MappingSession, SessionConfig
+from repro.api import (MappingSession, MapRequest, MapResult, ParetoResult,
+                       SessionConfig, SweepRequest, VerifyResult,
+                       canonical_json)
 from repro.errors import ServiceError
 from repro.mapping.batch import BatchItem
 from repro.mapping.cache import (SCHEMA_VERSION, fingerprint_block,
@@ -82,10 +87,7 @@ from repro.mapping.decompose import _map_block_key
 from repro.mapping.pareto import BlockParetoResult
 from repro.resilience import AdmissionController, inject
 from repro.service.metrics import BUCKET_BOUNDS_WIRE, MetricsRegistry
-from repro.service.protocol import (MapRequest, SweepRequest,
-                                    canonical_json, map_response,
-                                    pareto_response, parse_json_body,
-                                    sweep_response)
+from repro.service.protocol import parse_json_body
 from repro.service.singleflight import SingleFlight
 
 __all__ = ["MappingService", "ServiceThread", "DEFAULT_PORT"]
@@ -116,12 +118,6 @@ class MappingService:
         service-owned :class:`~concurrent.futures.ThreadPoolExecutor`
         of ``request_threads`` workers.  Injection is the test/bench
         seam: a gated executor makes coalescing deterministic.
-    map_workers:
-        When > 1, the service owns one shared
-        :class:`~concurrent.futures.ProcessPoolExecutor` that every
-        batch submission fans cold work across
-        (``run_batch(executor=...)``) — one warm pool for the process
-        lifetime instead of a fork per request.
     cache_dir:
         Pins the persistent disk tier for all service work.  Without
         an explicit ``session`` the service builds its own
@@ -132,7 +128,8 @@ class MappingService:
     session:
         An explicit :class:`~repro.api.MappingSession` to serve with,
         overriding ``cache_dir``.  The one object that owns the
-        service's cross-cutting state: cache tiers, catalog, defaults.
+        service's cross-cutting state: cache tiers, catalog, defaults,
+        and the batch engine's ``workers``.
         Passing one session to several services shares its catalog,
         so blocks are extracted once.
     request_timeout:
@@ -157,7 +154,7 @@ class MappingService:
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = DEFAULT_PORT,
-                 *, executor=None, map_workers: "int | None" = None,
+                 *, executor=None,
                  cache_dir: "str | None" = None,
                  session: "MappingSession | None" = None,
                  request_threads: int = 4,
@@ -177,11 +174,9 @@ class MappingService:
         self.draining = False
         self.requests = 0
         self.errors = 0
-        self._map_workers = map_workers
         self._request_threads = request_threads
         self._request_executor = executor
         self._owns_request_executor = executor is None
-        self._map_executor: "ProcessPoolExecutor | None" = None
         self._server: "asyncio.base_events.Server | None" = None
         self._listen_socket = listen_socket
         self._handlers: "set[asyncio.Task]" = set()
@@ -203,15 +198,15 @@ class MappingService:
                         "/v1/pareto": ("POST", self._post_pareto),
                         "/v1/verify": ("POST", self._post_verify),
                         "/v1/sweep": ("POST", self._post_sweep)}
-        # Measured-accuracy responses keyed by the map digest:
+        # Measurements (None for an unmapped block) keyed by content:
         # measurement is deterministic (fixed stimulus, fixed formats),
         # so a verified block is answered from memory for the process
         # lifetime instead of re-running its kernels.
-        self._verify_cache: "dict[str, dict]" = {}
+        self._verify_cache: dict = {}
 
     # -- lifecycle -------------------------------------------------------
     async def start(self) -> None:
-        """Stand the executors up, warm the catalog, bind the socket.
+        """Stand the executor up, warm the catalog, bind the socket.
 
         Frontend block extraction (the expensive part of a cold start,
         ~1.5s) runs on the request executor *before* the socket binds:
@@ -224,9 +219,6 @@ class MappingService:
             self._request_executor = ThreadPoolExecutor(
                 max_workers=self._request_threads,
                 thread_name_prefix="repro-map")
-        if self._map_workers and self._map_workers > 1:
-            self._map_executor = ProcessPoolExecutor(
-                max_workers=self._map_workers)
         # Deliberately not via _offload: the injectable request
         # executor is a test seam (it may gate request work), and
         # warming must not depend on it.
@@ -245,7 +237,7 @@ class MappingService:
         """Graceful stop: refuse new connections, drain, tear down.
 
         In-flight requests finish (bounded by ``request_timeout``);
-        service-owned executors are shut down afterwards.  Idempotent.
+        a service-owned executor is shut down afterwards.  Idempotent.
         """
         if self._server is not None:
             self._server.close()
@@ -254,9 +246,6 @@ class MappingService:
         if self._handlers:
             await asyncio.gather(*list(self._handlers),
                                  return_exceptions=True)
-        if self._map_executor is not None:
-            self._map_executor.shutdown(wait=True)
-            self._map_executor = None
         if self._owns_request_executor and self._request_executor is not None:
             self._request_executor.shutdown(wait=True)
             self._request_executor = None
@@ -495,7 +484,6 @@ class MappingService:
         return {"service": {"host": self.host, "port": self.port,
                             "requests": self.requests,
                             "errors": self.errors,
-                            "map_workers": self._map_workers or 1,
                             "schema_version": SCHEMA_VERSION,
                             "singleflight": self.flight.stats(),
                             "admission": self.admission.stats(),
@@ -506,7 +494,8 @@ class MappingService:
     async def _post_map(self, payload) -> dict:
         request = MapRequest.from_payload(payload)
         winner, matches, platform = await self._resolve_map(request)
-        return map_response(request, platform, winner, matches)
+        return MapResult(request=request, platform=platform, winner=winner,
+                         matches=tuple(matches)).to_payload()
 
     async def _post_pareto(self, payload) -> dict:
         request = MapRequest.from_payload(payload)
@@ -516,7 +505,7 @@ class MappingService:
         # models are never baked into coalesced/cached values.
         result = BlockParetoResult.from_matches(request.block, platform,
                                                 matches)
-        return pareto_response(request, result)
+        return ParetoResult(request=request, result=result).to_payload()
 
     def _map_key(self, request: MapRequest):
         """``(cache key, block, library, platform)`` for one map or
@@ -547,26 +536,30 @@ class MappingService:
         report = self.session.batch(
             [BatchItem.for_block(block, library, platform,
                                  tolerance=request.tolerance,
-                                 accuracy_budget=request.accuracy_budget)],
-            executor=self._map_executor)
+                                 accuracy_budget=request.accuracy_budget)])
         return report.results[0]
 
     async def _post_verify(self, payload) -> dict:
         request = MapRequest.from_payload(payload)
-        key, _block, _library, _platform = self._map_key(request)
-        digest = stable_digest(("verify",) + key)
-        cached = self._verify_cache.get(digest)
-        if cached is not None:
-            return cached
-        response = await self.flight.run(
-            digest,
-            lambda: self._offload(self._verify_work, request))
-        if len(self._verify_cache) >= 1024:
-            self._verify_cache.pop(next(iter(self._verify_cache)))
-        self._verify_cache[digest] = response
-        return response
+        key, _block, _library, platform = self._map_key(request)
+        # Cached and coalesced by content, rendered per request: the
+        # library key ignores tag order, so a cached *response* would
+        # answer ["IH", "LM"] with the "LM+IH" label of whoever came
+        # first.  The workload picks the stimulus, so it is content.
+        digest = stable_digest(("verify", request.workload) + key)
+        if digest in self._verify_cache:
+            measurement = self._verify_cache[digest]
+        else:
+            measurement = await self.flight.run(
+                digest,
+                lambda: self._offload(self._verify_work, request))
+            if len(self._verify_cache) >= 1024:
+                self._verify_cache.pop(next(iter(self._verify_cache)))
+            self._verify_cache[digest] = measurement
+        return VerifyResult(request=request, platform=platform,
+                            measurement=measurement).to_payload()
 
-    def _verify_work(self, request: MapRequest) -> dict:
+    def _verify_work(self, request: MapRequest):
         inject("service.dispatch")
         # Name arguments from the validated request, so the session
         # resolves exactly like a CLI `repro verify` call and the two
@@ -575,7 +568,7 @@ class MappingService:
             request.block, request.library, request.platform,
             tolerance=request.tolerance,
             accuracy_budget=request.accuracy_budget,
-            workload=request.workload).to_payload()
+            workload=request.workload).measurement
 
     async def _post_sweep(self, payload) -> dict:
         request = SweepRequest.from_payload(payload)
@@ -585,36 +578,33 @@ class MappingService:
             libraries = [self.catalog.library_combo(combo)
                          for combo in request.libraries]
         blocks = self.catalog.block_subset(request.blocks, request.workload)
-        # The workload key is part of the coalescing key even though the
-        # block fingerprints cover the work: the report *labels* itself
-        # with the workload, so same-blocks/different-label requests
+        # The workload key and the library combo strings are part of the
+        # coalescing key even though the fingerprints cover the work:
+        # the report *labels* itself with both (and library content
+        # ignores tag order), so same-work/different-label requests
         # must not share a flight.
         key = ("service_sweep", request.workload, platform_keys,
                tuple(fingerprint_library(lib) for lib in libraries or ()),
-               request.libraries is None,
+               request.libraries,
                tuple(fingerprint_block(b) for b in blocks.values()),
                request.tolerance, request.accuracy_budget)
         report = await self.flight.run(
             stable_digest(key),
             lambda: self._offload(self._sweep_work, request,
                                   platform_keys, libraries, blocks))
-        return sweep_response(report)
+        # Round-tripping through to_json() keeps the sweep's own
+        # byte-parity guarantee.
+        return json.loads(report.to_json())
 
     def _sweep_work(self, request: SweepRequest, platform_keys,
                     libraries, blocks):
         inject("service.dispatch")
         # The session's memoized flow: bound to its tiers and catalog.
-        # Only override the flow's executor when the service owns a
-        # map pool — an explicit None would *disable* a session-
-        # configured executor through sweep's _UNSET sentinel.
-        overrides = {}
-        if self._map_executor is not None:
-            overrides["executor"] = self._map_executor
         return self.session.flow().sweep(
             platforms=list(platform_keys), libraries=libraries,
             blocks=blocks, tolerance=request.tolerance,
             accuracy_budget=request.accuracy_budget,
-            workload=request.workload, **overrides)
+            workload=request.workload)
 
     def _offload(self, fn, *args):
         """Run ``fn`` on the request executor; awaitable result."""

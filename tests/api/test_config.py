@@ -2,10 +2,13 @@
 immutability."""
 
 import dataclasses
+import math
+import re
 
 import pytest
 
 from repro.api import SessionConfig
+from repro.api.types import ACCURACY_BUDGET_MESSAGE, TOLERANCE_MESSAGE
 
 
 class TestPrecedence:
@@ -62,8 +65,22 @@ class TestValidation:
             SessionConfig(library=())
 
     def test_tolerance_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SessionConfig(tolerance=0.0)
+        """The wire's rule: finite and >= 0, refused with its wording."""
+        for bad in (math.inf, -math.inf, math.nan, -1e-9):
+            with pytest.raises(ValueError, match=re.escape(TOLERANCE_MESSAGE)):
+                SessionConfig(tolerance=bad)
+        # 0 matches exactly, as /v1/map {"tolerance": 0} and
+        # --tolerance 0 already accept.
+        assert SessionConfig(tolerance=0.0).tolerance == 0.0
+
+    def test_accuracy_budget_must_be_nonnegative(self):
+        for bad in (-1.0, math.nan, -math.inf):
+            with pytest.raises(
+                ValueError, match=re.escape(ACCURACY_BUDGET_MESSAGE)
+            ):
+                SessionConfig(accuracy_budget=bad)
+        assert SessionConfig(accuracy_budget=0.0).accuracy_budget == 0.0
+        assert SessionConfig(accuracy_budget=math.inf).accuracy_budget == math.inf
 
     def test_library_normalized_to_tuple(self):
         assert SessionConfig(library=["REF", "IH"]).library == ("REF", "IH")

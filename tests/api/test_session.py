@@ -2,10 +2,12 @@
 and the acceptance-criterion isolation of two sessions in one process."""
 
 import json
+import math
 
 import pytest
 
 from repro.api import MappingSession, SessionConfig
+from repro.api.types import ACCURACY_BUDGET_MESSAGE, TOLERANCE_MESSAGE
 from repro.errors import ServiceError
 from repro.mapping import BatchItem, shared_cache_stats
 from repro.symalg import symbols
@@ -103,6 +105,66 @@ class TestParetoAndBatch:
         # The follow-up direct call hits the same session cache line.
         session.map(block, library)
         assert session.stats()["map_block"]["hits"] == 1
+
+
+class TestOneCachePath:
+    """Session calls resolve through batch(), so verify shares map's
+    cache line and counts tier traffic the same way."""
+
+    def test_verify_after_map_is_one_miss_and_one_hit(self, mp3_blocks):
+        session = MappingSession(SessionConfig(), blocks=mp3_blocks)
+        session.map("inv_mdctL", ("LM", "IH"))
+        assert session.verify("inv_mdctL", ("LM", "IH")).mapped
+        stats = session.stats()["map_block"]
+        assert (stats["misses"], stats["hits"]) == (1, 1)
+
+    def test_cold_verify_writes_one_row_a_fresh_map_reads_it(
+        self, tmp_path, mp3_blocks
+    ):
+        first = MappingSession(SessionConfig(cache_dir=tmp_path), blocks=mp3_blocks)
+        first.verify("inv_mdctL", ("LM", "IH"))
+        assert first.stats()["disk"]["writes"] == 1
+        assert len(first.tiers.disk()) == 1
+
+        fresh = MappingSession(SessionConfig(cache_dir=tmp_path), blocks=mp3_blocks)
+        fresh.map("inv_mdctL", ("LM", "IH"))
+        disk = fresh.stats()["disk"]
+        assert (disk["hits"], disk["writes"]) == (1, 0)
+
+
+class TestKnobValidation:
+    """Per-call knobs follow the wire's rule and answer 400 like it."""
+
+    @staticmethod
+    def _calls(session):
+        block, library = tiny_block(), tiny_library()
+        x = symbols("x")[0]
+        return [
+            lambda **kw: session.map(block, library, **kw),
+            lambda **kw: session.pareto(block, library, **kw),
+            lambda **kw: session.verify(block, library, **kw),
+            lambda **kw: session.sweep(
+                ["SA-1110"], [library], {"tiny_butterfly": block}, **kw
+            ),
+            lambda **kw: session.decompose(x, library, **kw),
+        ]
+
+    @pytest.mark.parametrize(
+        "knobs, message",
+        [
+            ({"tolerance": math.inf}, TOLERANCE_MESSAGE),
+            ({"tolerance": math.nan}, TOLERANCE_MESSAGE),
+            ({"tolerance": -1e-6}, TOLERANCE_MESSAGE),
+            ({"accuracy_budget": -1.0}, ACCURACY_BUDGET_MESSAGE),
+            ({"accuracy_budget": math.nan}, ACCURACY_BUDGET_MESSAGE),
+        ],
+        ids=["inf-tol", "nan-tol", "negative-tol", "negative-budget", "nan-budget"],
+    )
+    def test_bad_knobs_raise_400(self, knobs, message):
+        for call in self._calls(_session()):
+            with pytest.raises(ServiceError) as err:
+                call(**knobs)
+            assert (err.value.status, err.value.message) == (400, message)
 
 
 class TestFlowBinding:

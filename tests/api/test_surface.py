@@ -117,7 +117,6 @@ EXPECTED_CLI = {
         "--cache-dir",
         "--drain-grace",
         "--host",
-        "--map-workers",
         "--max-inflight",
         "--port",
         "--request-timeout",

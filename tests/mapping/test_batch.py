@@ -59,7 +59,7 @@ def _session(**config) -> MappingSession:
 class TestSerialBatch:
     def test_results_align_with_submission_order(self):
         items = _work_items()
-        report = _session().batch(items, workers=1)
+        report = _session(workers=1).batch(items)
         assert len(report.results) == len(items)
         winner, matches = report.results[0]
         assert winner.element.name == "fixed_IMDCT"
@@ -67,7 +67,7 @@ class TestSerialBatch:
         assert report.results[2].best.element_names() == ["sq2y"]
 
     def test_dedup_by_fingerprint(self):
-        report = _session().batch(_work_items(), workers=1)
+        report = _session(workers=1).batch(_work_items())
         assert report.stats.submitted == 5
         assert report.stats.unique == 4
         assert report.stats.computed == 4
@@ -75,15 +75,15 @@ class TestSerialBatch:
         assert _comparable(report.results[0]) == _comparable(report.results[4])
 
     def test_second_run_is_all_memory_hits(self):
-        session = _session()
-        session.batch(_work_items(), workers=1)
-        report = session.batch(_work_items(), workers=1)
+        session = _session(workers=1)
+        session.batch(_work_items())
+        report = session.batch(_work_items())
         assert report.stats.memory_hits == report.stats.unique
         assert report.stats.computed == 0
 
     def test_merges_into_lru_for_direct_calls(self):
-        session = _session()
-        session.batch(_work_items(), workers=1)
+        session = _session(workers=1)
+        session.batch(_work_items())
         before = session.stats()["map_block"]["hits"]
         lm_ih = Library.union(reference_library(), linux_math_library(),
                               inhouse_library())
@@ -95,17 +95,17 @@ class TestParallelBatch:
     def test_parallel_equals_serial(self):
         """The acceptance bar: identical winners/costs for every item."""
         items = _work_items()
-        serial = _session().batch(items, workers=1)
-        parallel = _session().batch(items, workers=2)
+        serial = _session(workers=1).batch(items)
+        parallel = _session(workers=2).batch(items)
         assert parallel.stats.parallel_jobs > 0
         for s, p in zip(serial.results, parallel.results):
             assert _comparable(s) == _comparable(p)
 
     def test_parallel_results_reach_the_lru(self):
         items = _work_items()
-        session = _session()
-        session.batch(items, workers=2)
-        report = session.batch(items, workers=2)
+        session = _session(workers=2)
+        session.batch(items)
+        report = session.batch(items)
         assert report.stats.memory_hits == report.stats.unique
         # ... and direct (non-batch) calls hit too.
         result = session.decompose(x + x ** 3 * y ** 2 - 2 * x * y ** 3,
@@ -114,9 +114,9 @@ class TestParallelBatch:
         assert session.stats()["decompose"]["hits"] >= 1
 
     def test_single_cold_item_stays_serial(self):
-        report = _session().batch(
+        report = _session(workers=4).batch(
             [BatchItem.for_target(x ** 2 - 2 * y, _demo_library(),
-                                  PLATFORM)], workers=4)
+                                  PLATFORM)])
         assert report.stats.serial_jobs == 1
         assert report.stats.parallel_jobs == 0
 
@@ -134,8 +134,8 @@ class TestParallelBatch:
             BatchItem.for_target(x + x ** 3 * y ** 2 - 2 * x * y ** 3,
                                  _demo_library(), PLATFORM),
         ]
-        session = _session(cache_dir=configured)
-        report = session.batch(items, workers=2)
+        session = _session(cache_dir=configured, workers=2)
+        report = session.batch(items)
         assert report.stats.parallel_jobs == 2
         assert (configured / "mapping_cache.sqlite").exists()
         assert not decoy.exists()
@@ -150,7 +150,7 @@ class TestParallelBatch:
             BatchItem.for_target(x + x ** 3 * y ** 2 - 2 * x * y ** 3,
                                  _demo_library(), PLATFORM),
         ]
-        report = _session().batch(items, workers=2)
+        report = _session(workers=2).batch(items)
         assert report.stats.pickle_fallbacks == 2
         assert report.stats.serial_jobs == 2
         assert report.results[1].best.element_names() == ["sq2y"]

@@ -134,10 +134,3 @@ class TestPoolRespawn:
         assert report.stats.serial_jobs == report.stats.unique
         assert report.stats.worker_retries == report.stats.unique
         assert report.results[0].best.element_names() == ["sq2y"]
-
-    def test_caller_owned_executor_is_never_respawned(self):
-        pool = _DeadPool()
-        report = run_batch(_items(), tiers=CacheTiers(), workers=2, executor=pool)
-        assert report.stats.pool_respawns == 0
-        assert report.stats.serial_jobs == report.stats.unique
-        assert report.results[0].best.element_names() == ["sq2y"]

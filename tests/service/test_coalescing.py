@@ -2,6 +2,7 @@
 trigger exactly one computation, proven via the session's cache
 statistics."""
 
+import json
 import threading
 import time
 
@@ -94,3 +95,48 @@ def test_distinct_requests_do_not_coalesce(fresh_session):
         assert replies["synth"][0] == 200
         assert replies["imdct"][1] != replies["synth"][1]
         assert service.flight.started == 2
+
+
+def test_sweeps_with_different_library_labels_do_not_coalesce(
+        fresh_session):
+    """Library content ignores tag order but a sweep report labels its
+    libraries with the request's combo strings, so a "LM+REF+IH" sweep
+    must not ride on an in-flight "REF+LM+IH" one."""
+    gate = threading.Event()
+    service = MappingService(port=0, executor=GatedExecutor(gate),
+                             session=fresh_session)
+    combos = ["REF+LM+IH", "LM+REF+IH"]
+    scope = {"platforms": ["SA-1110"], "blocks": ["inv_mdctL"]}
+    with ServiceThread(service) as thread:
+        client = ServiceClient(thread.base_url)
+        client.wait_healthy()
+        replies = {}
+
+        def issue(combo):
+            replies[combo] = client.request_bytes(
+                "POST", "/v1/sweep", {**scope, "libraries": [combo]})
+
+        requesters = []
+        for combo in combos:
+            requester = threading.Thread(target=issue, args=(combo,))
+            requester.start()
+            requesters.append(requester)
+            # Each request reaches the flight layer (the first one
+            # holding its flight behind the gate) before the next goes.
+            deadline = time.monotonic() + 30
+            flight = service.flight
+            while flight.started + flight.coalesced < len(requesters):
+                assert time.monotonic() < deadline, flight.stats()
+                time.sleep(0.01)
+
+        gate.set()
+        for requester in requesters:
+            requester.join(timeout=120)
+
+        assert service.flight.started == 2
+        for combo in combos:
+            status, body = replies[combo]
+            assert status == 200
+            assert json.loads(body)["libraries"] == [combo]
+            report = fresh_session.sweep(libraries=[combo], **scope)
+            assert body == report.to_json().encode("ascii")

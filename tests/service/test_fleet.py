@@ -21,9 +21,9 @@ import time
 
 import pytest
 
+from repro.api import canonical_json
 from repro.service import (FleetSupervisor, FleetWorker, MappingService,
                            ServiceClient, ServiceThread)
-from repro.service.protocol import canonical_json
 
 
 @pytest.fixture

@@ -8,11 +8,11 @@ associative and shape-preserving.
 
 import math
 
+from repro.api import canonical_json
 from repro.service.metrics import (BUCKET_BOUNDS_SECONDS,
                                    BUCKET_BOUNDS_WIRE, LatencyHistogram,
                                    MetricsRegistry, merge_counters,
                                    merge_histograms, merge_metrics)
-from repro.service.protocol import canonical_json
 
 
 class TestLatencyHistogram:

@@ -101,6 +101,22 @@ class TestRoundTrips:
         # the repeat was served from the cache, not recomputed
         assert len(service._verify_cache) == after_first
 
+    def test_verify_answer_carries_the_request_labels(self, live_service):
+        """The measurement is cached by content, which ignores tag
+        order; each answer still names the library as its request did."""
+        service, client = live_service
+        payload = {"block": "inv_mdctL", "platform": "ARM926"}
+        first = client.request_bytes(
+            "POST", "/v1/verify", {**payload, "library": ["LM", "IH"]})
+        cached = len(service._verify_cache)
+        second = client.request_bytes(
+            "POST", "/v1/verify", {**payload, "library": ["IH", "LM"]})
+        assert json.loads(first[1])["library"] == "LM+IH"
+        expected = _direct_session(service).verify(
+            "inv_mdctL", ("IH", "LM"), "ARM926")
+        assert second == (200, expected.to_json())
+        assert len(service._verify_cache) == cached
+
     def test_verify_unmapped_block_reports_null_element(self, live_service):
         _service, client = live_service
         payload = {"block": "inv_mdctL", "library": ["LM", "IH"],
@@ -164,31 +180,6 @@ class TestSessionWiring:
         payload = service._get_platforms()
         assert payload["default"] == "mycore"
         assert [p["key"] for p in payload["platforms"]] == ["mycore"]
-
-    def test_sweep_work_preserves_the_session_executor(self):
-        """Without a service-owned map pool, _sweep_work must not pass
-        executor=None (sweep's _UNSET sentinel would treat that as an
-        override disabling a session-configured executor)."""
-        from repro.api import MappingSession, SessionConfig
-        from repro.service.protocol import SweepRequest
-
-        captured = {}
-
-        class StubFlow:
-            def sweep(self, **kwargs):
-                captured.update(kwargs)
-                return "report"
-
-        service = MappingService(
-            port=0, session=MappingSession(SessionConfig()))
-        service.session.flow = lambda: StubFlow()
-        service._sweep_work(SweepRequest(), ("SA-1110",), None, {})
-        assert "executor" not in captured
-
-        captured.clear()
-        service._map_executor = object()
-        service._sweep_work(SweepRequest(), ("SA-1110",), None, {})
-        assert captured["executor"] is service._map_executor
 
 
 class TestErrorPaths:
