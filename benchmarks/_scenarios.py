@@ -17,10 +17,10 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def spawn_scenarios(script: Path, name: str, workers: int,
-                    cache_dir: "Path | None", runs: int = 1) -> list[dict]:
-    """Run ``script --workers N`` ``runs`` times, each in a fresh
-    interpreter, and return its per-run JSON measurements.
+def spawn_scenarios(script: Path, name: str, cache_dir: "Path | None",
+                    runs: int = 1) -> list[dict]:
+    """Run ``script`` ``runs`` times, each in a fresh interpreter, and
+    return its per-run JSON measurements.
 
     ``cache_dir=None`` forces truly cold runs (``REPRO_NO_CACHE=1``);
     a path points the persistent tier there instead.
@@ -35,7 +35,7 @@ def spawn_scenarios(script: Path, name: str, workers: int,
     results = []
     for run in range(runs):
         proc = subprocess.run(
-            [sys.executable, str(script), "--workers", str(workers)],
+            [sys.executable, str(script)],
             env=env, capture_output=True, text=True)
         assert proc.returncode == 0, f"{name}: {proc.stderr}"
         measurement = json.loads(proc.stdout.strip().splitlines()[-1])

@@ -12,7 +12,7 @@ timing is the memoized (warm) call.
 from paper_data import FASTER_THAN_REALTIME_MIN  # noqa: F401  (module smoke)
 from repro.api import MappingSession, SessionConfig
 from repro.library import Library, LibraryElement, full_library
-from repro.mapping.flow import _imdct_block
+from repro.workload.mp3 import imdct_block
 from repro.platform import OperationTally
 from repro.symalg import Polynomial, symbols
 
@@ -41,7 +41,7 @@ def test_table2_decompose_runtime(benchmark, platform, report):
 
 
 def test_table2_block_mapping_runtime(benchmark, platform, report):
-    block = _imdct_block()
+    block = imdct_block()
     library = full_library()
 
     session = MappingSession(SessionConfig())

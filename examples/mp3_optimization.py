@@ -12,11 +12,9 @@ Environment knobs (reproducible numbers without editing code), read by
 the bare ``MappingSession()`` the flow runs on:
 ``REPRO_NO_CACHE=1`` forces a cold run (disables persistence);
 ``REPRO_CACHE_DIR=<dir>`` warms/uses the persistent disk tier.
-``REPRO_WORKERS=<n>`` would fan each pass's block matches across
-processes, but it does not pay here: block matches are too cheap to
-amortize a pool (a 2-process pool made sweeps 3–13x slower than serial
-on a 2-vCPU host), so leave it unset.  It pays on batches of Decompose
-searches (see ``repro.mapping.batch.run_batch``).
+Each pass submits its critical blocks to the batch engine at once;
+cold block matches are computed serially in-process (see
+``repro.mapping.batch.run_batch``).
 """
 
 import sys

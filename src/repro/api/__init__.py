@@ -4,9 +4,9 @@ One typed entry point for the whole methodology: build a
 :class:`MappingSession` (optionally from an explicit, immutable
 :class:`SessionConfig`) and call ``map`` / ``pareto`` / ``batch`` /
 ``sweep`` / ``flow`` on it.  Sessions own all cross-cutting state —
-cache tiers, worker fan-out, platform registry, request defaults — so
-two sessions with different cache directories coexist in one process,
-and every frontend (library use, the ``python -m repro`` CLI, the
+cache tiers, platform registry, request defaults — so two sessions
+with different cache directories coexist in one process, and every
+frontend (library use, the ``python -m repro`` CLI, the
 batch engine, the HTTP service) shares this one surface.
 
 The wire format is defined here too: :class:`MapResult` /

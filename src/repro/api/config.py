@@ -17,7 +17,6 @@ Recognized environment variables:
 ==================  ====================================================
 ``REPRO_CACHE_DIR``  directory of the persistent disk cache tier
 ``REPRO_NO_CACHE``   any non-empty value disables the disk tier
-``REPRO_WORKERS``    default worker-process count for batch fan-out
 ==================  ====================================================
 """
 
@@ -55,27 +54,20 @@ class SessionConfig:
 
     ``cache_dir``/``disk_cache`` govern the persistent tier;
     ``decompose_lru``/``map_block_lru`` size the session's in-memory
-    caches; ``workers`` sets the batch engine's process fan-out
-    (:func:`~repro.mapping.batch.run_batch`); ``registry`` is the
-    platform catalog requests resolve against and ``workloads`` the
-    workload catalog block names resolve in; ``library``/
-    ``platform``/``workload``/``tolerance``/``accuracy_budget`` are
-    the request defaults ``session.map()`` and friends fall back to;
-    the wire's rule applies to the last two (tolerance finite and >= 0,
-    budget >= 0 and not NaN).
-
-    ``workers`` pays on batches of Decompose searches: ``workers=2`` beat
-    serial in 3 of 3 alternating pairs on ``bench_batch_mapping.py``'s
-    work set (1.53–2.17 s against 2.27–2.47 s, 2-vCPU host).  It does
-    not pay on block-match sweeps or flows, where a 2-process pool was
-    3–13× slower than serial; single calls never fan out.
+    caches; ``registry`` is the platform catalog requests resolve
+    against and ``workloads`` the workload catalog block names resolve
+    in; ``library``/``platform``/``workload``/``tolerance``/
+    ``accuracy_budget`` are the request defaults ``session.map()`` and
+    friends fall back to; the wire's rule applies to the last two
+    (tolerance finite and >= 0, budget >= 0 and not NaN).  Batches run
+    serially in-process; a service scales across cores with its fleet
+    (``--workers N``), not through the session.
     """
 
     cache_dir: "str | os.PathLike[str] | None" = None
     disk_cache: bool = True
     decompose_lru: int = 512
     map_block_lru: int = 256
-    workers: int | None = None
     registry: ProcessorRegistry = field(default=DEFAULT_REGISTRY, repr=False)
     workloads: WorkloadRegistry = field(default=DEFAULT_WORKLOAD_REGISTRY, repr=False)
     library: tuple[str, ...] = DEFAULT_LIBRARY
@@ -90,8 +82,6 @@ class SessionConfig:
                 f"LRU sizes must be positive, got decompose_lru="
                 f"{self.decompose_lru}, map_block_lru={self.map_block_lru}"
             )
-        if self.workers is not None and self.workers < 0:
-            raise ValueError(f"workers must be >= 0 or None, got {self.workers}")
         if not self.library:
             raise ValueError("library must name at least one catalog tag")
         if not self.workload:
@@ -125,14 +115,6 @@ class SessionConfig:
             values["cache_dir"] = cache_dir
         if env.get("REPRO_NO_CACHE"):
             values["disk_cache"] = False
-        workers = env.get("REPRO_WORKERS")
-        if workers:
-            try:
-                values["workers"] = int(workers)
-            except ValueError:
-                raise ValueError(
-                    f"REPRO_WORKERS must be an integer, got {workers!r}"
-                ) from None
         values.update(overrides)
         return cls(**values)
 

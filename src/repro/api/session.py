@@ -1,9 +1,9 @@
 """The session facade: one typed entry point for the whole methodology.
 
 ``MappingSession`` owns every piece of cross-cutting state the mapping
-flow reads — cache tiers, worker fan-out, platform registry, request
-defaults — behind an immutable :class:`~repro.api.SessionConfig`.  All
-frontends share it: library code calls the methods directly, the CLI
+flow reads — cache tiers, platform registry, request defaults —
+behind an immutable :class:`~repro.api.SessionConfig`.  All frontends
+share it: library code calls the methods directly, the CLI
 (``python -m repro``) builds one per invocation, and the HTTP service
 holds exactly one for its process lifetime.  Two sessions with
 different cache directories coexist in one process with fully isolated
@@ -47,7 +47,7 @@ class MappingSession:
         The session's :class:`~repro.api.SessionConfig`.  ``None``
         resolves from the environment (:meth:`SessionConfig.from_env`),
         so a bare ``MappingSession()`` honors ``REPRO_CACHE_DIR`` /
-        ``REPRO_NO_CACHE`` / ``REPRO_WORKERS``.
+        ``REPRO_NO_CACHE``.
     blocks:
         Optional pre-extracted target blocks for the catalog (tests
         and embedders inject cheap blocks).
@@ -298,8 +298,8 @@ class MappingSession:
 
     def batch(self, items: Iterable[BatchItem]) -> BatchReport:
         """Resolve a batch of work items against this session's tiers,
-        fanning cold ones across ``config.workers`` processes."""
-        return run_batch(list(items), workers=self.config.workers, tiers=self.tiers)
+        computing the cold ones in-process."""
+        return run_batch(items, tiers=self.tiers)
 
     def sweep(
         self,
@@ -359,7 +359,7 @@ class MappingSession:
     ) -> MethodologyFlow:
         """A session-bound :class:`~repro.mapping.flow.MethodologyFlow`.
 
-        Wired with this session's tiers, worker count and block
+        Wired with this session's tiers, registry and block
         catalog.  The default flow (no arguments) is memoized —
         repeated :meth:`sweep` calls share one — while explicit
         platform/threshold arguments build a fresh instance.
@@ -375,7 +375,6 @@ class MappingSession:
         return MethodologyFlow(
             platform=platform,
             critical_threshold_percent=threshold,
-            workers=self.config.workers,
             blocks=self.catalog.blocks(),
             tiers=self.tiers,
             registry=self.config.registry,
@@ -432,6 +431,29 @@ class MappingSession:
     def platforms(self) -> list[str]:
         """Registry keys this session resolves platforms against."""
         return self.config.registry.names()
+
+    def platforms_payload(self) -> dict:
+        """The platform listing every surface serves, pre-serialization.
+
+        The CLI's ``repro platforms --json`` and the service's
+        ``/v1/platforms`` both render exactly this dict through
+        :func:`~repro.api.types.canonical_json`, which is what makes
+        their bytes comparable with ``==``.  Built from the session's
+        registry, so a custom registry lists exactly the keys
+        :meth:`map` resolves.
+        """
+        return {
+            "default": self.config.platform,
+            "platforms": [
+                {
+                    "key": entry.key,
+                    "processor": entry.spec.name,
+                    "clock_hz": entry.spec.clock_hz,
+                    "has_fpu": entry.spec.has_fpu,
+                }
+                for entry in self.config.registry
+            ],
+        }
 
     def workloads(self) -> list[str]:
         """Workload keys this session resolves block names against."""

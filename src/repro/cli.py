@@ -465,28 +465,16 @@ def _cmd_workloads(args: argparse.Namespace) -> int:
 
 def _cmd_platforms(args: argparse.Namespace) -> int:
     session = _session(args)
-    registry = session.config.registry
+    payload = session.platforms_payload()
     if args.json:
-        payload = {
-            "default": session.config.platform,
-            "platforms": [
-                {
-                    "key": entry.key,
-                    "processor": entry.spec.name,
-                    "clock_hz": entry.spec.clock_hz,
-                    "has_fpu": entry.spec.has_fpu,
-                }
-                for entry in registry
-            ],
-        }
         _emit(canonical_json(payload).decode("ascii"))
         return 0
-    for entry in registry:
-        default = "*" if entry.key == session.config.platform else " "
-        fpu = "fpu" if entry.spec.has_fpu else "soft-float"
+    for entry in payload["platforms"]:
+        default = "*" if entry["key"] == payload["default"] else " "
+        fpu = "fpu" if entry["has_fpu"] else "soft-float"
         _emit(
-            f"{default} {entry.key:<10} {entry.spec.name:<24} "
-            f"{entry.spec.clock_hz / 1e6:>7.1f} MHz  {fpu}"
+            f"{default} {entry['key']:<10} {entry['processor']:<24} "
+            f"{entry['clock_hz'] / 1e6:>7.1f} MHz  {fpu}"
         )
     return 0
 

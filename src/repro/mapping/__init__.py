@@ -13,8 +13,8 @@ front door, which exposes the whole methodology with ``stats()`` for
 hit rates and ``clear_caches()`` for cold-start measurements.  See
 :mod:`repro.mapping.cache` for the fingerprinting and serialization
 contracts and :mod:`repro.mapping.batch` (:func:`run_batch`) for
-mapping whole (block × library × platform) work sets with dedup and
-process fan-out.
+mapping whole (block × library × platform) work sets with dedup, one
+cache lookup per unique item and in-process computation of the rest.
 """
 
 from repro.mapping.batch import BatchItem, BatchReport, BatchStats, run_batch

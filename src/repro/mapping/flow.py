@@ -16,7 +16,7 @@ Calling :meth:`run_passes` with the paper's library ladder (LM+IH, then
 LM+IH+IPP) regenerates Tables 4, 5 and 6 mechanically.
 
 A flow can be session-bound: :meth:`repro.api.MappingSession.flow`
-builds one wired to the session's cache tiers, worker count and block
+builds one wired to the session's cache tiers, registry and block
 catalog, so every pass resolves against session-owned state.
 A bare flow owns private memory-only tiers.
 """
@@ -48,11 +48,6 @@ from repro.platform.badge4 import Badge4
 from repro.platform.profiler import ProfileReport
 from repro.platform.registry import DEFAULT_REGISTRY, duplicate_labels
 from repro.workload import DEFAULT_WORKLOAD, DEFAULT_WORKLOAD_REGISTRY
-
-# Compatibility aliases: the MP3 block builders lived here before the
-# workload registry existed, and callers import them from the flow.
-from repro.workload.mp3 import imdct_block as _imdct_block  # noqa: F401
-from repro.workload.mp3 import matrixing_block as _matrixing_block  # noqa: F401
 
 __all__ = [
     "MethodologyFlow",
@@ -145,7 +140,7 @@ class SweepReport:
     Entries are ordered (platform, library, block) — the submission
     order — and every front inside obeys the canonical Pareto ordering,
     so two sweeps over the same inputs are comparable byte-for-byte via
-    :meth:`to_json` regardless of worker count or cache temperature.
+    :meth:`to_json` regardless of cache temperature.
     """
 
     platforms: tuple[str, ...]
@@ -188,9 +183,8 @@ class SweepReport:
         """Canonical JSON rendering (the byte-parity comparison form).
 
         Sorted keys, no whitespace, ``repr``-exact floats; deliberately
-        free of timings, worker counts and cache statistics so that
-        serial/parallel and cold/warm runs of the same sweep serialize
-        identically.
+        free of timings and cache statistics so that cold and warm runs
+        of the same sweep serialize identically.
         """
         payload = {
             "platforms": list(self.platforms),
@@ -266,13 +260,10 @@ def _sweep_library_ladder() -> list[Library]:
 class MethodologyFlow:
     """Drives characterize -> identify -> map on the MP3 decoder.
 
-    ``workers`` sets the batch-mapping fan-out: each pass's critical
-    blocks (and each sweep's cells) are submitted to
-    :func:`~repro.mapping.batch.run_batch` together, deduplicated
-    against both cache tiers, and the cold remainder mapped in
-    parallel worker processes.  ``None`` (default) keeps everything
-    serial and in-process — results are identical either way, and
-    block matches are too cheap for a pool to pay (see ``run_batch``).
+    Each pass's critical blocks (and each sweep's cells) are submitted
+    to :func:`~repro.mapping.batch.run_batch` together, deduplicated
+    against both cache tiers, and the cold remainder mapped
+    in-process.
 
     ``blocks`` overrides the extracted complex target blocks; sessions
     inject their shared catalog so frontend extraction happens once
@@ -291,7 +282,6 @@ class MethodologyFlow:
         self,
         platform: Badge4 | None = None,
         critical_threshold_percent: float = 5.0,
-        workers: int | None = None,
         blocks: "Mapping[str, TargetBlock] | None" = None,
         tiers: "CacheTiers | None" = None,
         registry=None,
@@ -300,7 +290,6 @@ class MethodologyFlow:
     ):
         self.platform = platform or Badge4()
         self.threshold = critical_threshold_percent
-        self.workers = workers
         self.tiers = tiers if tiers is not None else CacheTiers()
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
         self.workloads = (
@@ -362,9 +351,8 @@ class MethodologyFlow:
             chosen["III_stereo"] = "fx_mac(IH)"
             chosen["III_antialias"] = "fx_mac(IH)"
 
-        # Submit every critical block through the batch engine at once
-        # (instead of mapping them one at a time): the engine dedups
-        # against the cache tiers and fans cold items across workers.
+        # Submit every critical block through the batch engine at once:
+        # the engine dedups against the cache tiers before computing.
         blocks = [
             (name, block)
             for name, block in self._blocks.items()
@@ -375,7 +363,6 @@ class MethodologyFlow:
                 BatchItem.for_block(block, library, self.platform, tolerance=1e-6)
                 for _name, block in blocks
             ],
-            workers=self.workers,
             tiers=self.tiers,
         )
         for (name, block), (winner, _all) in zip(blocks, batch.results):
@@ -411,8 +398,8 @@ class MethodologyFlow:
 
         The full (block × library × platform) cross-product goes
         through the batch engine in one submission — deduplicated
-        against both cache tiers, cold remainder fanned across worker
-        processes — and each cell comes back as a Pareto front over
+        against both cache tiers, cold remainder computed in-process —
+        and each cell comes back as a Pareto front over
         (cycles, energy, accuracy), with the scalar cycles winner as
         its projection.
 
@@ -422,8 +409,8 @@ class MethodologyFlow:
         (LM+IH, then LM+IH+IPP, both over REF); ``workload`` selects a
         workload-registry block set (default: the flow's own, normally
         ``mp3``), and an explicit ``blocks`` mapping overrides the
-        block objects while keeping the workload label.  The worker
-        count, cache tiers and processor registry are the flow's.
+        block objects while keeping the workload label.  The cache
+        tiers and processor registry are the flow's.
         """
         resolved = self.registry.resolve(platforms)
         libs = list(libraries) if libraries is not None else _sweep_library_ladder()
@@ -461,7 +448,7 @@ class MethodologyFlow:
                         )
                     )
 
-        batch = run_batch(items, workers=self.workers, tiers=self.tiers)
+        batch = run_batch(items, tiers=self.tiers)
 
         entries: list[SweepEntry] = []
         for (label, platform, lib_name, block_name), (_winner, matches) in zip(

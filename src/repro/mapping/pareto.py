@@ -16,7 +16,7 @@ non-dominated candidate:
   the element's characterized error label;
 * :func:`pareto_front` — the non-dominated subset, deterministically
   ordered (ascending cycles, ties by energy, accuracy, element name),
-  so serial and parallel sweeps emit byte-identical fronts.
+  so cold and warm sweeps emit byte-identical fronts.
 
 Fronts are *derived*, never cached: the cached block-match value is
 the platform-priced match list, which depends only on the processor

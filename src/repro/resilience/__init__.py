@@ -3,7 +3,7 @@
 The paper's methodology is a long-running compiler service in spirit:
 minutes-scale symbolic work per cold block, milliseconds warm.  That
 cold/warm asymmetry is exactly where overload and partial failure must
-degrade gracefully — a corrupt cache tier, a crashed pool worker or a
+degrade gracefully — a corrupt cache tier, a crashed fleet worker or a
 queue pile-up should cost throughput, never correctness or hung
 connections.  This package holds the shared mechanisms; the policies
 live where the failures do:

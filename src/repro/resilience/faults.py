@@ -3,7 +3,7 @@
 The resilience policies this package carries (circuit breaker, admission
 control, retries, graceful degradation) are only trustworthy if their
 failure paths are *exercised* — and real failures (a corrupt sqlite
-file, a crashed pool worker, a stalled dispatch) are rare and flaky to
+file, a crashed fleet worker, a stalled dispatch) are rare and flaky to
 stage.  This module turns them into first-class test inputs: code that
 can fail declares a **named fault site** and calls :func:`inject` at
 it; a chaos test activates a :class:`FaultPlan` describing which sites
@@ -18,7 +18,6 @@ defends):
                         about to touch sqlite
 ``disk_cache.write``    a :meth:`~repro.mapping.cache.DiskCache.put`
                         about to touch sqlite
-``batch.worker``        a batch work item executing in a pool worker
 ``service.dispatch``    the service's heavy work, on its executor thread
 ``service.accept``      a service connection handler, before reading
 ``fleet.worker``        a fleet worker accepting a public connection;
@@ -31,16 +30,16 @@ With no plan active, :func:`inject` is one module-global read and a
 ``None`` check — the warm path pays nothing measurable (benchmarked in
 ``benchmarks/bench_resilience.py``).
 
->>> plan = FaultPlan([FaultRule("batch.worker", error=RuntimeError,
+>>> plan = FaultPlan([FaultRule("service.dispatch", error=RuntimeError,
 ...                             times=1)], seed=7)
 >>> with plan.activate():
 ...     try:
-...         inject("batch.worker")
+...         inject("service.dispatch")
 ...     except RuntimeError:
 ...         print("fault fired")
-...     inject("batch.worker")          # times=1: second hit passes
+...     inject("service.dispatch")      # times=1: second hit passes
 fault fired
->>> plan.counts()["fired"]["batch.worker"]
+>>> plan.counts()["fired"]["service.dispatch"]
 1
 """
 
@@ -61,7 +60,6 @@ __all__ = ["FAULT_SITES", "FaultRule", "FaultPlan", "inject", "active_plan"]
 FAULT_SITES = (
     "disk_cache.read",
     "disk_cache.write",
-    "batch.worker",
     "service.dispatch",
     "service.accept",
     "fleet.worker",
@@ -126,8 +124,7 @@ class FaultPlan:
     calls — each rule draws from a private ``random.Random`` seeded
     with ``(seed, rule index)``, so sites cannot perturb each other's
     streams.  All bookkeeping is lock-protected: service worker
-    threads, the event loop, and batch fallbacks may all hit sites
-    concurrently.
+    threads and the event loop may hit sites concurrently.
     """
 
     def __init__(self, rules, *, seed: int = 0):

@@ -128,10 +128,9 @@ class MappingService:
     session:
         An explicit :class:`~repro.api.MappingSession` to serve with,
         overriding ``cache_dir``.  The one object that owns the
-        service's cross-cutting state: cache tiers, catalog, defaults,
-        and the batch engine's ``workers``.
-        Passing one session to several services shares its catalog,
-        so blocks are extracted once.
+        service's cross-cutting state: cache tiers, catalog and
+        defaults.  Passing one session to several services shares its
+        catalog, so blocks are extracted once.
     request_timeout:
         Per-request wall-clock bound, seconds.  Expiry answers ``503``
         with a ``Retry-After`` hint — slow work is shed like overload,
@@ -446,16 +445,10 @@ class MappingService:
                 "schema_version": SCHEMA_VERSION}
 
     def _get_platforms(self) -> dict:
-        # Rendered from the session (not module globals), so a service
-        # built around a custom registry advertises exactly the keys
-        # its /v1/map resolves — and matches `repro platforms --json`.
-        return {"default": self.session.config.platform,
-                "platforms": [{
-                    "key": entry.key,
-                    "processor": entry.spec.name,
-                    "clock_hz": entry.spec.clock_hz,
-                    "has_fpu": entry.spec.has_fpu,
-                } for entry in self.session.config.registry]}
+        # The session's payload verbatim — the same dict the CLI's
+        # `repro platforms --json` renders — so a service built around
+        # a custom registry advertises exactly the keys /v1/map resolves.
+        return self.session.platforms_payload()
 
     def _get_workloads(self) -> dict:
         # The session's payload verbatim — the same dict the CLI's

@@ -30,12 +30,13 @@ class TestPrecedence:
         assert config.disk_cache is False
         assert config.effective_cache_dir is None
 
-    def test_from_env_workers(self):
-        assert SessionConfig.from_env({"REPRO_WORKERS": "4"}).workers == 4
-
-    def test_from_env_bad_workers_is_loud(self):
-        with pytest.raises(ValueError, match="REPRO_WORKERS"):
-            SessionConfig.from_env({"REPRO_WORKERS": "many"})
+    def test_from_env_reads_only_the_cache_variables(self):
+        """Other ``REPRO_*`` names select nothing: the two cache
+        variables are the config's whole environment surface."""
+        env = {"REPRO_CACHE_DIR": "/from/env", "REPRO_PLATFORM": "DSP",
+               "REPRO_WORKLOAD": "gsm_mac", "REPRO_CHAOS_SEED": "3"}
+        assert SessionConfig.from_env(env) == \
+            SessionConfig(cache_dir="/from/env")
 
     def test_explicit_override_beats_env(self):
         env = {"REPRO_CACHE_DIR": "/from/env", "REPRO_NO_CACHE": "1"}
@@ -56,9 +57,11 @@ class TestValidation:
         with pytest.raises(ValueError):
             SessionConfig(map_block_lru=-1)
 
-    def test_workers_must_be_nonnegative(self):
-        with pytest.raises(ValueError):
-            SessionConfig(workers=-2)
+    def test_workers_is_not_a_setting(self):
+        with pytest.raises(TypeError):
+            SessionConfig(workers=2)
+        with pytest.raises(TypeError):
+            SessionConfig().with_options(workers=2)
 
     def test_library_must_be_nonempty(self):
         with pytest.raises(ValueError):
@@ -94,7 +97,7 @@ class TestImmutability:
 
     def test_with_options_returns_a_new_config(self):
         base = SessionConfig()
-        derived = base.with_options(workers=2)
-        assert derived.workers == 2
-        assert base.workers is None
+        derived = base.with_options(map_block_lru=64)
+        assert derived.map_block_lru == 64
+        assert base.map_block_lru == 256
         assert derived is not base

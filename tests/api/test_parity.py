@@ -8,7 +8,7 @@ so every surface computes its answer independently.
 
 import pytest
 
-from repro.api import MappingSession, SessionConfig
+from repro.api import MappingSession, SessionConfig, canonical_json
 from repro.cli import main
 from repro.service import MappingService, ServiceClient, ServiceThread
 
@@ -100,6 +100,38 @@ class TestWorkloadsParity:
         status, service_bytes = client.request_bytes("GET", "/v1/workloads")
         assert status == 200
         assert _cli_json(capsys, "workloads", "--json") == service_bytes
+
+
+class TestPlatformsParity:
+    def test_cli_and_service_agree(self, live_service, session, capsys):
+        """`repro platforms --json` is byte-for-byte `/v1/platforms`."""
+        _service, client = live_service
+        status, service_bytes = client.request_bytes("GET", "/v1/platforms")
+        assert status == 200
+        assert _cli_json(capsys, "platforms", "--json") == service_bytes
+        assert canonical_json(session.platforms_payload()) == service_bytes
+
+    def test_custom_registry_reaches_session_and_service(self, mp3_blocks):
+        """A service built around a custom registry lists exactly that
+        registry's keys, in the session's own bytes."""
+        from repro.platform.energy import BADGE4_ENERGY
+        from repro.platform.processor import SA1110
+        from repro.platform.registry import ProcessorRegistry
+
+        registry = ProcessorRegistry()
+        registry.register("mycore", SA1110, BADGE4_ENERGY)
+        custom = MappingSession(SessionConfig(registry=registry,
+                                              platform="mycore"),
+                                blocks=mp3_blocks)
+        payload = custom.platforms_payload()
+        assert payload["default"] == "mycore"
+        assert [p["key"] for p in payload["platforms"]] == ["mycore"]
+        with ServiceThread(MappingService(port=0, session=custom)) as thread:
+            client = ServiceClient(thread.base_url)
+            client.wait_healthy()
+            status, body = client.request_bytes("GET", "/v1/platforms")
+        assert status == 200
+        assert body == canonical_json(payload)
 
 
 class TestNonMp3SweepParity:

@@ -15,7 +15,7 @@ def isolated_cache_env(monkeypatch):
     the ``REPRO_*`` environment a bare ``MappingSession()`` reads and
     the shared memo caches.
     """
-    for name in ("REPRO_CACHE_DIR", "REPRO_NO_CACHE", "REPRO_WORKERS"):
+    for name in ("REPRO_CACHE_DIR", "REPRO_NO_CACHE"):
         monkeypatch.delenv(name, raising=False)
     clear_shared_caches()
     yield

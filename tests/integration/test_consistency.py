@@ -90,9 +90,9 @@ class TestDecomposeVsBlockMatchAgreement:
     def test_scalar_and_block_paths_price_identically(self, platform):
         """The same element priced via decompose and via the block match."""
         from repro.api import MappingSession, SessionConfig
-        from repro.mapping.flow import _imdct_block
+        from repro.workload.mp3 import imdct_block
         library = full_library()
-        result = MappingSession(SessionConfig()).map(_imdct_block(), library,
+        result = MappingSession(SessionConfig()).map(imdct_block(), library,
                                                     platform)
         cycles = {m.element.name: platform.cost_model.cycles(m.element.cost)
                   for m in result.matches}

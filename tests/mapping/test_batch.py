@@ -1,5 +1,7 @@
 """Tests for the batch-mapping engine (repro.mapping.batch)."""
 
+from dataclasses import fields
+
 import pytest
 
 import repro.mapping.batch as batch_mod
@@ -7,10 +9,11 @@ from repro.api import MappingSession, SessionConfig
 from repro.library import Library, full_library
 from repro.library.builtin import (inhouse_library, linux_math_library,
                                    reference_library)
-from repro.mapping import BatchItem
-from repro.mapping.flow import _imdct_block, _matrixing_block
+from repro.mapping import (BatchItem, BatchStats, CacheTiers,
+                           MethodologyFlow, run_batch)
 from repro.platform import Badge4
 from repro.symalg import symbols
+from repro.workload.mp3 import imdct_block, matrixing_block
 
 x, y = symbols("x y")
 PLATFORM = Badge4()
@@ -23,14 +26,14 @@ def _work_items():
     lm_ih = Library.union(reference_library(), linux_math_library(),
                           inhouse_library())
     return [
-        BatchItem.for_block(_imdct_block(), lm_ih, PLATFORM),
-        BatchItem.for_block(_matrixing_block(), lm_ih, PLATFORM),
+        BatchItem.for_block(imdct_block(), lm_ih, PLATFORM),
+        BatchItem.for_block(matrixing_block(), lm_ih, PLATFORM),
         BatchItem.for_target(x + x ** 3 * y ** 2 - 2 * x * y ** 3,
                              _demo_library(), PLATFORM),
         BatchItem.for_target(x ** 2 - 2 * y, _demo_library(), PLATFORM),
         # Duplicate of item 0 through an independently-built library:
         # fingerprint dedup must fold it.
-        BatchItem.for_block(_imdct_block(),
+        BatchItem.for_block(imdct_block(),
                             Library.union(reference_library(),
                                           linux_math_library(),
                                           inhouse_library()), PLATFORM),
@@ -59,7 +62,7 @@ def _session(**config) -> MappingSession:
 class TestSerialBatch:
     def test_results_align_with_submission_order(self):
         items = _work_items()
-        report = _session(workers=1).batch(items)
+        report = _session().batch(items)
         assert len(report.results) == len(items)
         winner, matches = report.results[0]
         assert winner.element.name == "fixed_IMDCT"
@@ -67,7 +70,7 @@ class TestSerialBatch:
         assert report.results[2].best.element_names() == ["sq2y"]
 
     def test_dedup_by_fingerprint(self):
-        report = _session(workers=1).batch(_work_items())
+        report = _session().batch(_work_items())
         assert report.stats.submitted == 5
         assert report.stats.unique == 4
         assert report.stats.computed == 4
@@ -75,35 +78,88 @@ class TestSerialBatch:
         assert _comparable(report.results[0]) == _comparable(report.results[4])
 
     def test_second_run_is_all_memory_hits(self):
-        session = _session(workers=1)
+        session = _session()
         session.batch(_work_items())
         report = session.batch(_work_items())
         assert report.stats.memory_hits == report.stats.unique
         assert report.stats.computed == 0
 
     def test_merges_into_lru_for_direct_calls(self):
-        session = _session(workers=1)
+        session = _session()
         session.batch(_work_items())
         before = session.stats()["map_block"]["hits"]
         lm_ih = Library.union(reference_library(), linux_math_library(),
                               inhouse_library())
-        session.map(_imdct_block(), lm_ih, PLATFORM)
+        session.map(imdct_block(), lm_ih, PLATFORM)
         assert session.stats()["map_block"]["hits"] == before + 1
 
+    def test_empty_batch_is_an_empty_report(self):
+        report = run_batch([], tiers=CacheTiers())
+        assert report.results == []
+        assert report.stats == BatchStats()
 
-class TestParallelBatch:
-    def test_parallel_equals_serial(self):
-        """The acceptance bar: identical winners/costs for every item."""
-        items = _work_items()
-        serial = _session(workers=1).batch(items)
-        parallel = _session(workers=2).batch(items)
-        assert parallel.stats.parallel_jobs > 0
-        for s, p in zip(serial.results, parallel.results):
-            assert _comparable(s) == _comparable(p)
+    def test_dedup_does_not_lean_on_the_lru(self):
+        """Duplicates fold inside one batch even when the LRU is too
+        small to keep the first copy's value."""
+        session = _session(decompose_lru=1)
+        a = BatchItem.for_target(x ** 2 - 2 * y, _demo_library(), PLATFORM)
+        b = BatchItem.for_target(x + x ** 3 * y ** 2 - 2 * x * y ** 3,
+                                 _demo_library(), PLATFORM)
+        report = session.batch([a, b, a, b])
+        assert report.stats.unique == report.stats.computed == 2
+        assert _comparable(report.results[2]) == \
+            _comparable(report.results[0])
+        assert _comparable(report.results[3]) == \
+            _comparable(report.results[1])
 
-    def test_parallel_results_reach_the_lru(self):
+    def test_a_failing_search_propagates_and_keeps_earlier_results(
+            self, monkeypatch):
+        """The loop raises the search's own error; the items computed
+        before it are already merged, so a retry only computes the
+        rest."""
+        real = batch_mod._compute
+        calls = []
+
+        def second_call_fails(item):
+            calls.append(item)
+            if len(calls) == 2:
+                raise RuntimeError("search failed")
+            return real(item)
+
+        monkeypatch.setattr(batch_mod, "_compute", second_call_fails)
+        session = _session()
+        items = [
+            BatchItem.for_target(x ** 2 - 2 * y, _demo_library(), PLATFORM),
+            BatchItem.for_target(x + x ** 3 * y ** 2 - 2 * x * y ** 3,
+                                 _demo_library(), PLATFORM),
+        ]
+        with pytest.raises(RuntimeError, match="search failed"):
+            session.batch(items)
+        retry = session.batch(items)
+        assert retry.stats.memory_hits == 1
+        assert retry.stats.computed == 1
+        assert retry.results[1].best.element_names() == ["sq2y"]
+
+
+class TestSerialOnly:
+    def test_no_layer_takes_a_workers_knob(self):
+        items = [BatchItem.for_target(x ** 2 - 2 * y, _demo_library())]
+        with pytest.raises(TypeError):
+            run_batch(items, tiers=CacheTiers(), workers=2)
+        with pytest.raises(TypeError):
+            _session().batch(items, workers=2)
+        with pytest.raises(TypeError):
+            MethodologyFlow(workers=2)
+
+    def test_stats_count_only_what_the_loop_does(self):
+        assert [f.name for f in fields(BatchStats)] == [
+            "submitted", "unique", "memory_hits", "disk_hits", "computed"]
+
+
+class TestCacheMerge:
+    def test_results_reach_the_lru(self):
         items = _work_items()
-        session = _session(workers=2)
+        session = _session()
         session.batch(items)
         report = session.batch(items)
         assert report.stats.memory_hits == report.stats.unique
@@ -113,19 +169,12 @@ class TestParallelBatch:
         assert result.best.element_names() == ["sq2y"]
         assert session.stats()["decompose"]["hits"] >= 1
 
-    def test_single_cold_item_stays_serial(self):
-        report = _session(workers=4).batch(
-            [BatchItem.for_target(x ** 2 - 2 * y, _demo_library(),
-                                  PLATFORM)])
-        assert report.stats.serial_jobs == 1
-        assert report.stats.parallel_jobs == 0
-
-    def test_parallel_results_land_in_the_callers_cache_dir(
+    def test_results_land_in_the_callers_cache_dir(
             self, tmp_path, monkeypatch):
-        """Worker-computed values are merged into the caller's tier by
-        the parent (exactly once — workers never write disk), and an
-        env-configured directory is not touched when the config names
-        one."""
+        """Computed values are written to the caller's tier exactly
+        once each, an env-configured directory is not touched when the
+        config names one, and a later direct call on a fresh session
+        over the same directory hits the disk."""
         configured = tmp_path / "configured-tier"
         decoy = tmp_path / "decoy-tier"
         monkeypatch.setenv("REPRO_CACHE_DIR", str(decoy))
@@ -134,54 +183,59 @@ class TestParallelBatch:
             BatchItem.for_target(x + x ** 3 * y ** 2 - 2 * x * y ** 3,
                                  _demo_library(), PLATFORM),
         ]
-        session = _session(cache_dir=configured, workers=2)
+        session = _session(cache_dir=configured)
         report = session.batch(items)
-        assert report.stats.parallel_jobs == 2
+        assert report.stats.computed == 2
         assert (configured / "mapping_cache.sqlite").exists()
         assert not decoy.exists()
         assert session.tiers.disk().writes == len(items)  # once each
 
-    def test_unpicklable_item_falls_back_to_serial(self, monkeypatch):
-        def refuse(item, lib_blobs):
-            raise TypeError("cannot pickle this work item")
-        monkeypatch.setattr(batch_mod, "_pack_job", refuse)
-        items = [
-            BatchItem.for_target(x ** 2 - 2 * y, _demo_library(), PLATFORM),
-            BatchItem.for_target(x + x ** 3 * y ** 2 - 2 * x * y ** 3,
-                                 _demo_library(), PLATFORM),
-        ]
-        report = _session(workers=2).batch(items)
-        assert report.stats.pickle_fallbacks == 2
-        assert report.stats.serial_jobs == 2
-        assert report.results[1].best.element_names() == ["sq2y"]
+        later = _session(cache_dir=configured)
+        result = later.decompose(x ** 2 - 2 * y, _demo_library(), PLATFORM)
+        assert result.best.element_names() == \
+            report.results[0].best.element_names()
+        assert later.stats()["disk"]["hits"] == 1
+        assert later.tiers.disk().writes == 0
+
+    def test_omitted_platform_resolves_to_the_default_badge4(self):
+        """An item built without a platform keys (and caches) exactly
+        like one that names the default ``Badge4()``."""
+        session = _session()
+        session.batch([BatchItem.for_target(x ** 2 - 2 * y,
+                                            _demo_library())])
+        report = session.batch([BatchItem.for_target(x ** 2 - 2 * y,
+                                                     _demo_library(),
+                                                     Badge4())])
+        assert report.stats.memory_hits == 1
+        assert isinstance(BatchItem.for_block(imdct_block(),
+                                              full_library()).platform,
+                          Badge4)
+
+    def test_block_item_without_platform_shares_the_direct_calls_line(self):
+        """A block item built without a platform lands on the line a
+        direct ``session.map`` on the default platform reads."""
+        lm_ih = Library.union(reference_library(), linux_math_library(),
+                              inhouse_library())
+        session = _session()
+        session.batch([BatchItem.for_block(imdct_block(), lm_ih)])
+        before = session.stats()["map_block"]["hits"]
+        result = session.map(imdct_block(), lm_ih)
+        assert result.winner.element.name == "fixed_IMDCT"
+        assert session.stats()["map_block"]["hits"] == before + 1
 
 
 class TestBatchItemValidation:
     def test_unknown_knob_rejected(self):
         with pytest.raises(TypeError):
-            BatchItem.for_block(_imdct_block(), full_library(),
+            BatchItem.for_block(imdct_block(), full_library(),
                                 PLATFORM, bogus_knob=1)
 
     def test_knob_defaults_match_entry_points(self):
         """Batch submissions must share cache lines with direct calls."""
-        item = BatchItem.for_block(_imdct_block(), full_library(), PLATFORM)
+        item = BatchItem.for_block(imdct_block(), full_library(), PLATFORM)
         knobs = dict(item.knobs)
         assert knobs["tolerance"] == 1e-6
         item = BatchItem.for_target(x, full_library(), PLATFORM)
         knobs = dict(item.knobs)
         assert knobs["tolerance"] == 1e-9
         assert knobs["max_depth"] == 3
-
-
-class TestFlowIntegration:
-    def test_flow_with_workers_matches_serial_flow(self):
-        """MethodologyFlow(workers=N) chooses the same elements."""
-        from repro.mapping import MethodologyFlow
-        from repro.mp3 import make_stream
-        stream = make_stream(n_frames=1, seed=7)
-        serial = MethodologyFlow().run_passes(stream)
-        parallel = MethodologyFlow(workers=2).run_passes(stream)
-        for s, p in zip(serial.passes, parallel.passes):
-            assert s.chosen_elements == p.chosen_elements
-            assert s.seconds == p.seconds
-            assert s.energy_j == p.energy_j

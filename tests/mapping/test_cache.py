@@ -13,7 +13,7 @@ from repro.mapping.cache import (LRUCache, element_digest,
                                  fingerprint_element, fingerprint_tally,
                                  stable_digest)
 from repro.mapping.decompose import _map_block_key
-from repro.mapping.flow import _imdct_block
+from repro.workload.mp3 import imdct_block
 from repro.library.builtin import full_library
 from repro.platform import Badge4, OperationTally
 from repro.platform.processor import SA1110, ProcessorSpec
@@ -281,7 +281,7 @@ class TestDecomposeMemoization:
 class TestMapBlockMemoization:
     def test_block_hit_returns_equal_winner_and_fresh_list(self):
         session = _session()
-        block = _imdct_block()
+        block = imdct_block()
         library = full_library()
         first = session.map(block, library, PLATFORM)
         second = session.map(block, library, PLATFORM)
@@ -291,7 +291,7 @@ class TestMapBlockMemoization:
 
     def test_no_match_is_cached_too(self):
         session = _session()
-        block = _imdct_block()
+        block = imdct_block()
         empty = Library("empty")
         for _ in range(2):
             result = session.map(block, empty, PLATFORM)

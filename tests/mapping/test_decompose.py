@@ -169,8 +169,8 @@ def _map(block, library):
 
 class TestBlockMapping:
     def test_imdct_block_selects_ipp(self):
-        from repro.mapping.flow import _imdct_block
-        result = _map(_imdct_block(), full_library())
+        from repro.workload.mp3 import imdct_block
+        result = _map(imdct_block(), full_library())
         assert result.winner.element.name == "IppsMDCTInv_MP3_32s"
         assert {m.element.name for m in result.matches} == {
             "IppsMDCTInv_MP3_32s", "fixed_IMDCT", "float_IMDCT"}
@@ -180,19 +180,19 @@ class TestBlockMapping:
         from repro.library import (inhouse_library, linux_math_library,
                                    reference_library)
         from repro.library.catalog import Library as Lib
-        from repro.mapping.flow import _imdct_block
+        from repro.workload.mp3 import imdct_block
         lib = Lib.union(reference_library(), linux_math_library(),
                         inhouse_library())
-        assert _map(_imdct_block(), lib).winner.element.name == "fixed_IMDCT"
+        assert _map(imdct_block(), lib).winner.element.name == "fixed_IMDCT"
 
     def test_matrixing_block_selects_ipp_synth(self):
-        from repro.mapping.flow import _matrixing_block
-        winner = _map(_matrixing_block(), full_library()).winner
+        from repro.workload.mp3 import matrixing_block
+        winner = _map(matrixing_block(), full_library()).winner
         assert winner.element.name == "ippsSynthPQMF_MP3_32s16s"
 
     def test_no_match_returns_none(self):
-        from repro.mapping.flow import _imdct_block
+        from repro.workload.mp3 import imdct_block
         empty = Library("empty")
-        result = _map(_imdct_block(), empty)
+        result = _map(imdct_block(), empty)
         assert result.winner is None
         assert result.matches == ()

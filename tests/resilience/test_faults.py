@@ -14,19 +14,19 @@ class TestFaultRuleValidation:
 
     def test_probability_bounds(self):
         with pytest.raises(ValueError, match="probability"):
-            FaultRule("batch.worker", error=RuntimeError, probability=1.5)
+            FaultRule("service.dispatch", error=RuntimeError, probability=1.5)
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError, match="delay"):
-            FaultRule("batch.worker", error=RuntimeError, delay=-1.0)
+            FaultRule("service.dispatch", error=RuntimeError, delay=-1.0)
 
     def test_rule_must_do_something(self):
         with pytest.raises(ValueError, match="raise, delay, or both"):
-            FaultRule("batch.worker")
+            FaultRule("service.dispatch")
 
     def test_times_must_be_positive(self):
         with pytest.raises(ValueError, match="times"):
-            FaultRule("batch.worker", error=RuntimeError, times=0)
+            FaultRule("service.dispatch", error=RuntimeError, times=0)
 
     def test_every_compiled_site_is_armable(self):
         for site in FAULT_SITES:
@@ -35,52 +35,52 @@ class TestFaultRuleValidation:
 
 class TestFiring:
     def test_error_class_is_instantiated(self):
-        plan = FaultPlan([FaultRule("batch.worker", error=KeyError)])
+        plan = FaultPlan([FaultRule("service.dispatch", error=KeyError)])
         with pytest.raises(KeyError):
-            plan.fire("batch.worker")
+            plan.fire("service.dispatch")
 
     def test_error_instance_is_raised_as_is(self):
         sentinel = RuntimeError("exactly this one")
-        plan = FaultPlan([FaultRule("batch.worker", error=sentinel)])
+        plan = FaultPlan([FaultRule("service.dispatch", error=sentinel)])
         with pytest.raises(RuntimeError) as excinfo:
-            plan.fire("batch.worker")
+            plan.fire("service.dispatch")
         assert excinfo.value is sentinel
 
     def test_error_factory_is_called(self):
         plan = FaultPlan([FaultRule(
-            "batch.worker", error=lambda: ValueError("built fresh"))])
+            "service.dispatch", error=lambda: ValueError("built fresh"))])
         with pytest.raises(ValueError, match="built fresh"):
-            plan.fire("batch.worker")
+            plan.fire("service.dispatch")
 
     def test_times_bounds_firing(self):
-        plan = FaultPlan([FaultRule("batch.worker", error=RuntimeError,
+        plan = FaultPlan([FaultRule("service.dispatch", error=RuntimeError,
                                     times=2)])
         for _ in range(2):
             with pytest.raises(RuntimeError):
-                plan.fire("batch.worker")
-        plan.fire("batch.worker")      # exhausted: passes
+                plan.fire("service.dispatch")
+        plan.fire("service.dispatch")      # exhausted: passes
         assert plan.counts() == {
-            "hits": {**dict.fromkeys(FAULT_SITES, 0), "batch.worker": 3},
-            "fired": {**dict.fromkeys(FAULT_SITES, 0), "batch.worker": 2},
+            "hits": {**dict.fromkeys(FAULT_SITES, 0), "service.dispatch": 3},
+            "fired": {**dict.fromkeys(FAULT_SITES, 0), "service.dispatch": 2},
         }
 
     def test_after_arms_the_fault_late(self):
-        plan = FaultPlan([FaultRule("batch.worker", error=RuntimeError,
+        plan = FaultPlan([FaultRule("service.dispatch", error=RuntimeError,
                                     after=2)])
-        plan.fire("batch.worker")
-        plan.fire("batch.worker")
+        plan.fire("service.dispatch")
+        plan.fire("service.dispatch")
         with pytest.raises(RuntimeError):
-            plan.fire("batch.worker")
+            plan.fire("service.dispatch")
 
     def test_first_firing_rule_wins_later_rules_stay_armed(self):
         plan = FaultPlan([
-            FaultRule("batch.worker", error=ValueError, times=1),
-            FaultRule("batch.worker", error=KeyError),
+            FaultRule("service.dispatch", error=ValueError, times=1),
+            FaultRule("service.dispatch", error=KeyError),
         ])
         with pytest.raises(ValueError):
-            plan.fire("batch.worker")
+            plan.fire("service.dispatch")
         with pytest.raises(KeyError):   # rule 1 exhausted, rule 2 takes over
-            plan.fire("batch.worker")
+            plan.fire("service.dispatch")
 
     def test_delay_sleeps(self):
         plan = FaultPlan([FaultRule("service.dispatch", delay=0.05)])
@@ -106,7 +106,7 @@ class TestDeterminism:
     @staticmethod
     def _pattern(seed: int, extra_site_hits: int = 0) -> list:
         plan = FaultPlan([
-            FaultRule("batch.worker", error=RuntimeError, probability=0.5),
+            FaultRule("service.dispatch", error=RuntimeError, probability=0.5),
             FaultRule("disk_cache.read", error=RuntimeError,
                       probability=0.5),
         ], seed=seed)
@@ -121,7 +121,7 @@ class TestDeterminism:
                     except RuntimeError:
                         pass
                 try:
-                    inject("batch.worker")
+                    inject("service.dispatch")
                     pattern.append(0)
                 except RuntimeError:
                     pattern.append(1)
@@ -144,24 +144,24 @@ class TestDeterminism:
 class TestActivation:
     def test_inject_without_a_plan_is_a_no_op(self):
         assert active_plan() is None
-        inject("batch.worker")          # nothing raised, nothing counted
+        inject("service.dispatch")          # nothing raised, nothing counted
 
     def test_activation_is_scoped_and_nestable(self):
-        outer = FaultPlan([FaultRule("batch.worker", error=ValueError)])
-        inner = FaultPlan([FaultRule("batch.worker", error=KeyError)])
+        outer = FaultPlan([FaultRule("service.dispatch", error=ValueError)])
+        inner = FaultPlan([FaultRule("service.dispatch", error=KeyError)])
         with outer.activate():
             assert active_plan() is outer
             with inner.activate():
                 assert active_plan() is inner
                 with pytest.raises(KeyError):
-                    inject("batch.worker")
+                    inject("service.dispatch")
             assert active_plan() is outer
             with pytest.raises(ValueError):
-                inject("batch.worker")
+                inject("service.dispatch")
         assert active_plan() is None
 
     def test_activation_restores_on_error(self):
-        plan = FaultPlan([FaultRule("batch.worker", error=RuntimeError)])
+        plan = FaultPlan([FaultRule("service.dispatch", error=RuntimeError)])
         with pytest.raises(ZeroDivisionError):
             with plan.activate():
                 1 / 0

@@ -284,6 +284,9 @@ class TestFleetChaos:
                     assert body == clean[key]
                 assert set(statuses) <= {200, 429, 503}
                 assert 200 in statuses
+                # A worker killed during the clean replay may still be
+                # respawning; wait_ready raises if a slot never returns.
+                supervisor.wait_ready()
                 final = supervisor.status()
                 assert all(final["alive"])
 
