@@ -27,7 +27,7 @@ def _time_per_call(fn, rounds=_ROUNDS) -> float:
     return (time.perf_counter() - start) / rounds
 
 
-def test_facade_overhead_and_parity(report):
+def test_facade_overhead_and_parity(report, bench_output):
     session = MappingSession(SessionConfig())
     block = session.catalog.block("inv_mdctL")
     library = session.catalog.library(("REF", "LM", "IH"))
@@ -48,6 +48,7 @@ def test_facade_overhead_and_parity(report):
                 "typed MapResult construction; byte parity is warm vs a "
                 "fresh session's cold answer",
     }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
+    output = bench_output(OUTPUT)
+    output.write_text(json.dumps(payload, indent=2) + "\n")
     report(f"\napi facade warm map: session {session_us:.1f}us; to_json "
-           f"{render_us:.1f}us (byte parity asserted) -> {OUTPUT.name}")
+           f"{render_us:.1f}us (byte parity asserted) -> {output}")

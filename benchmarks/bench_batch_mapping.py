@@ -99,7 +99,7 @@ def _spawn(name: str, cache_dir: "Path | None", runs: int = 1) -> list[dict]:
     return spawn_scenarios(Path(__file__).resolve(), name, cache_dir, runs)
 
 
-def test_batch_mapping_benchmark(tmp_path, report):
+def test_batch_mapping_benchmark(tmp_path, report, bench_output):
     """Measure the three scenarios and emit BENCH_batch_mapping.json."""
     cache_dir = tmp_path / "warm-tier"
 
@@ -127,11 +127,12 @@ def test_batch_mapping_benchmark(tmp_path, report):
             "warm_speedup_vs_cold": cold_s / warm_s,
         },
     }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
+    output = bench_output(OUTPUT)
+    output.write_text(json.dumps(payload, indent=2) + "\n")
     report(f"\nBatch mapping ({os.cpu_count()} cpu): "
            f"cold {cold_s:.2f}s, "
            f"disk-warm fresh process {warm_s:.3f}s "
-           f"({cold_s / warm_s:,.0f}x) -> {OUTPUT.name}")
+           f"({cold_s / warm_s:,.0f}x) -> {output}")
 
 
 if __name__ == "__main__":

@@ -69,7 +69,7 @@ def _throughput(block, match):
     }
 
 
-def test_codegen_benchmark(report):
+def test_codegen_benchmark(report, bench_output):
     library = full_library()
     platform = Badge4()
     session = MappingSession(SessionConfig())
@@ -108,9 +108,10 @@ def test_codegen_benchmark(report):
         "throughput": throughput,
         "accuracy": accuracy_rows,
     }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
+    output = bench_output(OUTPUT)
+    output.write_text(json.dumps(payload, indent=2) + "\n")
 
-    lines = [f"\nCodegen (emitted Python vs interpreter) -> {OUTPUT.name}",
+    lines = [f"\nCodegen (emitted Python vs interpreter) -> {output}",
              f"  {throughput['kernel']}: "
              f"compiled {throughput['compiled_vectors_per_second']:.0f}/s, "
              f"interpreter "

@@ -67,7 +67,7 @@ def _spawn(name: str, cache_dir: "Path | None", runs: int = 1) -> list[dict]:
     return spawn_scenarios(Path(__file__).resolve(), name, cache_dir, runs)
 
 
-def test_multiplatform_sweep_benchmark(tmp_path, report):
+def test_multiplatform_sweep_benchmark(tmp_path, report, bench_output):
     """Measure the three scenarios and emit BENCH_multiplatform.json."""
     cache_dir = tmp_path / "warm-tier"
 
@@ -107,12 +107,13 @@ def test_multiplatform_sweep_benchmark(tmp_path, report):
                     "parity across cache states.",
         },
     }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
+    output = bench_output(OUTPUT)
+    output.write_text(json.dumps(payload, indent=2) + "\n")
     report(f"\nMulti-platform sweep ({os.cpu_count()} cpu, "
            f"{cold[0]['cells']} cells): "
            f"cold {cold_s:.2f}s, "
            f"disk-warm fresh process {warm_s:.2f}s "
-           f"({cold_s / warm_s:.1f}x) -> {OUTPUT.name}")
+           f"({cold_s / warm_s:.1f}x) -> {output}")
 
 
 if __name__ == "__main__":

@@ -56,7 +56,7 @@ def _median_get_seconds(cache, rounds: int) -> float:
     return statistics.median(samples)
 
 
-def test_resilience_benchmark(report):
+def test_resilience_benchmark(report, bench_output):
     # -- admission: warm-path overhead, interleaved A/B ----------------
     plain = MappingService(port=0)
     gated = MappingService(port=0, max_inflight=64)
@@ -172,10 +172,11 @@ def test_resilience_benchmark(report):
                            "admission control on and off",
         },
     }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
+    output = bench_output(OUTPUT)
+    output.write_text(json.dumps(payload, indent=2) + "\n")
     report(f"\nResilience bench: warm median {plain_median * 1e3:.2f}ms "
            f"plain vs {gated_median * 1e3:.2f}ms gated "
            f"({overhead * 100:+.1f}%), breaker open lookup "
            f"{open_median * 1e6:.0f}us vs closed "
            f"{closed_median * 1e6:.0f}us, overload {served}/{total} "
-           f"served + {shed} shed -> {OUTPUT.name}")
+           f"served + {shed} shed -> {output}")

@@ -46,7 +46,7 @@ def _timed_map(client) -> "tuple[float, int, bytes]":
     return time.perf_counter() - start, status, body
 
 
-def test_service_benchmark(report):
+def test_service_benchmark(report, bench_output):
     service = MappingService(port=0)
     with ServiceThread(service) as thread:
         client = ServiceClient(thread.base_url)
@@ -159,11 +159,12 @@ def test_service_benchmark(report):
                            "equal to cold",
         },
     }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
+    output = bench_output(OUTPUT)
+    output.write_text(json.dumps(payload, indent=2) + "\n")
     report(f"\nService bench: cold {cold_s * 1e3:.1f}ms, "
            f"warm median {warm_median * 1e3:.2f}ms "
            f"({cold_s / warm_median:.0f}x), "
            f"{total_requests / throughput_elapsed:.0f} req/s "
            f"({THROUGHPUT_THREADS} threads), burst of "
            f"{COALESCED_REQUESTS} -> {started} computation(s) "
-           f"({coalesced} coalesced) -> {OUTPUT.name}")
+           f"({coalesced} coalesced) -> {output}")

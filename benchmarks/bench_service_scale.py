@@ -81,7 +81,7 @@ def _hammer(base_url: str, bodies) -> "tuple[float, list, dict]":
     return time.perf_counter() - start, latencies, failures
 
 
-def test_fleet_scaling_benchmark(report, tmp_path):
+def test_fleet_scaling_benchmark(report, tmp_path, bench_output):
     cache_dir = tmp_path / "shared-cache"
     bodies = [canonical_json(payload) for payload in PAYLOADS]
     reference: "dict[bytes, bytes]" = {}
@@ -151,9 +151,10 @@ def test_fleet_scaling_benchmark(report, tmp_path):
                            "responses for all payloads",
         },
     }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
+    output = bench_output(OUTPUT)
+    output.write_text(json.dumps(payload, indent=2) + "\n")
     summary = ", ".join(
         f"{workers}w {rps[workers]:.0f} req/s" for workers in WORKER_COUNTS)
     report(f"\nFleet scale bench ({strategy}, {os.cpu_count()} cpu): "
            f"{summary}; {WORKER_COUNTS[-1]}-worker speedup "
-           f"{speedup:.2f}x -> {OUTPUT.name}")
+           f"{speedup:.2f}x -> {output}")

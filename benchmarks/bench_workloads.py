@@ -38,7 +38,7 @@ def _sweep_once(key: str, blocks: dict, library, tiers: CacheTiers):
     return time.perf_counter() - start, sweep
 
 
-def test_per_workload_sweep_benchmark(report):
+def test_per_workload_sweep_benchmark(report, bench_output):
     library = full_library()
     rows = []
     for key in DEFAULT_WORKLOAD_REGISTRY.names():
@@ -79,10 +79,11 @@ def test_per_workload_sweep_benchmark(report):
         "library": "REF+LM+IH+IPP (full)",
         "workloads": rows,
     }
-    OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
+    output = bench_output(OUTPUT)
+    output.write_text(json.dumps(payload, indent=2) + "\n")
 
     lines = [f"\nPer-workload sweep (SA-1110, full library) "
-             f"-> {OUTPUT.name}"]
+             f"-> {output}"]
     for row in rows:
         lines.append(
             f"  {row['workload']:<10} extract {row['extract_seconds']:.2f}s  "

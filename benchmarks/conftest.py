@@ -11,9 +11,14 @@ code):
 * ``REPRO_CACHE_DIR=<dir>`` — point environment-built sessions'
   persistent tier at ``<dir>`` to measure warm-process behaviour
   instead.
+
+A timed run refreshes the recorded ``BENCH_*.json`` files at the repo
+root; under ``--benchmark-disable`` they land in each test's
+``tmp_path`` instead (see :func:`bench_output`).
 """
 
 import os
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +45,24 @@ def _cold_run_knob():
     if os.environ.get("REPRO_NO_CACHE"):
         clear_shared_caches()
     yield
+
+
+@pytest.fixture
+def bench_output(request, tmp_path):
+    """``bench_output(recorded)``: where a bench writes its JSON.
+
+    ``recorded`` is the baseline's repo-root path.  A timed run writes
+    there.  Under ``--benchmark-disable`` (the CI smoke) the numbers are
+    not the run's to record, so the file goes to ``tmp_path`` and the
+    committed baselines stay as they are.
+    """
+    config = request.config
+    smoke = (config.getoption("benchmark_disable", False)
+             and not config.getoption("benchmark_enable", False))
+
+    def where(recorded: Path) -> Path:
+        return tmp_path / recorded.name if smoke else recorded
+    return where
 
 
 @pytest.fixture

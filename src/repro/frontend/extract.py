@@ -14,13 +14,16 @@ transformations by construction:
   **loop unrolling**;
 * assignments bind names to symbolic values that flow forward —
   **constant and variable (copy) propagation**;
-* arithmetic on symbols builds expression trees; pure computations are
-  hoisted wherever their operands are — **code motion** falls out of
-  dataflow;
+* arithmetic on symbols is polynomial arithmetic: every symbolic value
+  is a canonical :class:`~repro.symalg.polynomial.Polynomial` and every
+  constant an exact number, so constants fold as they meet and pure
+  computations are hoisted wherever their operands are — **code
+  motion** falls out of dataflow;
 * ``if`` on a *symbolic* 0/1 condition evaluates both arms and blends
   them as ``cond*then + (1-cond)*else`` — **conditional expansion**;
-* calls to known nonlinear functions become :class:`Call` nodes, later
-  replaced by Taylor/Chebyshev approximations — **model expansion**.
+* a call to a known nonlinear function is expanded where it is made:
+  its Taylor/Chebyshev approximation (a polynomial in ``_arg``) is
+  composed with the argument — **model expansion**.
 
 Supported subset: function defs with scalar/array parameters, (aug-)
 assignments, tuple-free ``for _ in range(const...)``, constant or
@@ -36,22 +39,28 @@ from __future__ import annotations
 
 import ast
 import inspect
+import operator
 import textwrap
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from repro.errors import FrontendError
-from repro.symalg.expression import (Add, Call, Const, Expression, Mul, Pow,
-                                     Var, flatten)
 from repro.symalg.polynomial import Polynomial
 
 __all__ = ["SymbolicInput", "ArrayInput", "TargetBlock", "extract_block",
            "MATH_FUNCTIONS"]
 
-#: Calls the frontend lowers to Call nodes (resolved by approximation later).
+#: Calls the frontend expands at the call site with their
+#: ``approximations`` entry (model expansion); others are rejected.
 MATH_FUNCTIONS = ("exp", "log", "sin", "cos", "tan", "sqrt", "atan",
                   "log1p", "sinh", "cosh")
+
+#: Operators on two exact numbers: constant folding.
+_NUMBER_OPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+               ast.Mult: operator.mul, ast.Div: operator.truediv,
+               ast.Pow: operator.pow, ast.FloorDiv: operator.floordiv,
+               ast.Mod: operator.mod}
 
 
 @dataclass(frozen=True)
@@ -81,7 +90,6 @@ class TargetBlock:
     name: str
     outputs: dict[str, Polynomial]
     input_variables: tuple[str, ...]
-    expressions: dict[str, Expression] = field(default_factory=dict)
 
     def polynomial(self, output: str | None = None) -> Polynomial:
         """A single output's polynomial (default: the only one)."""
@@ -117,9 +125,9 @@ def _build_array(spec: ArrayInput) -> _Array:
             items = []
             for i in range(shape[0]):
                 if values is not None:
-                    items.append(Const(Fraction(values[i])))
+                    items.append(Fraction(values[i]))
                 else:
-                    items.append(Var(f"{prefix}_{i}"))
+                    items.append(Polynomial.variable(f"{prefix}_{i}"))
             return _Array(items)
         return _Array([build(f"{prefix}_{i}", shape[1:],
                              values[i] if values is not None else None)
@@ -128,10 +136,15 @@ def _build_array(spec: ArrayInput) -> _Array:
 
 
 class _Interpreter(ast.NodeVisitor):
-    """Symbolically executes one function body."""
+    """Symbolically executes one function body.
 
-    def __init__(self, env: dict):
+    Values are exact numbers (``int``/``Fraction``), polynomials, or
+    arrays of values.
+    """
+
+    def __init__(self, env: dict, approximations: Mapping[str, Polynomial]):
         self.env = env
+        self.approximations = approximations
         self.returned = None
 
     # -- statements ----------------------------------------------------
@@ -172,10 +185,10 @@ class _Interpreter(ast.NodeVisitor):
         # Conditional expansion: both arms run on copies, results blend.
         then_env = dict(self.env)
         else_env = dict(self.env)
-        _Interpreter(then_env).execute(node.body)
+        _Interpreter(then_env, self.approximations).execute(node.body)
         if node.orelse:
-            _Interpreter(else_env).execute(node.orelse)
-        cond_expr = _as_expression(condition)
+            _Interpreter(else_env, self.approximations).execute(node.orelse)
+        cond = _as_polynomial(condition)
         for name in set(then_env) | set(else_env):
             a = then_env.get(name)
             b = else_env.get(name)
@@ -184,11 +197,8 @@ class _Interpreter(ast.NodeVisitor):
             if a is None or b is None or isinstance(a, _Array) or isinstance(b, _Array):
                 raise FrontendError(
                     f"conditional expansion needs {name!r} defined as a scalar in both arms")
-            blended = (Mul((cond_expr, _as_expression(a)))
-                       + Mul((Add((Const(Fraction(1)),
-                                   Mul((Const(Fraction(-1)), cond_expr)))),
-                              _as_expression(b))))
-            self.env[name] = flatten(blended)
+            self.env[name] = (cond * _as_polynomial(a)
+                              + (1 - cond) * _as_polynomial(b))
 
     def visit_Return(self, node: ast.Return) -> None:
         if node.value is None:
@@ -252,7 +262,7 @@ class _Interpreter(ast.NodeVisitor):
             if isinstance(node.op, ast.USub):
                 if isinstance(value, (int, Fraction)):
                     return -value
-                return flatten(Mul((Const(Fraction(-1)), _as_expression(value))))
+                return -_as_polynomial(value)
             if isinstance(node.op, ast.UAdd):
                 return value
             raise FrontendError("only unary +/- are supported")
@@ -278,8 +288,20 @@ class _Interpreter(ast.NodeVisitor):
         if name not in MATH_FUNCTIONS:
             raise FrontendError(
                 f"call to unknown function {name!r}; supported: {MATH_FUNCTIONS}")
-        args = [self.eval(a) for a in node.args]
-        return Call(name, tuple(_as_expression(a) for a in args))
+        # Model expansion: the approximation, a polynomial in ``_arg``,
+        # composed with the argument.
+        series = self.approximations.get(name)
+        if series is None:
+            raise FrontendError(
+                f"call to {name!r} needs a polynomial approximation: pass "
+                f"approximations={{{name!r}: ...}} to extract_block")
+        if series.variables and series.variables != ("_arg",):
+            raise FrontendError(
+                f"approximation for {name!r} must use the variable '_arg'")
+        if len(node.args) != 1:
+            raise FrontendError(
+                f"model expansion supports unary calls; {name!r} got {len(node.args)}")
+        return series.substitute({"_arg": _as_polynomial(self.eval(node.args[0]))})
 
     def _compare(self, node: ast.Compare):
         if len(node.ops) != 1:
@@ -304,56 +326,39 @@ class _Interpreter(ast.NodeVisitor):
             return _Array(list(left.items) * right)
         if op_type is ast.Mult and isinstance(right, _Array) and isinstance(left, int):
             return _Array(list(right.items) * left)
-        numeric = isinstance(left, (int, Fraction)) and isinstance(right, (int, Fraction))
-        if numeric:
-            if op_type is ast.Add:
-                return left + right
-            if op_type is ast.Sub:
-                return left - right
-            if op_type is ast.Mult:
-                return left * right
-            if op_type is ast.Div:
-                if right == 0:
-                    raise FrontendError("division by zero in target code")
-                return Fraction(left) / Fraction(right)
-            if op_type is ast.Pow:
-                if not isinstance(right, int) or right < 0:
-                    raise FrontendError("exponents must be nonnegative integers")
-                return left ** right
-            if op_type is ast.FloorDiv:
-                return left // right
-            if op_type is ast.Mod:
-                return left % right
-            raise FrontendError(f"unsupported operator {op_type.__name__}")
-        left_e = _as_expression(left)
-        if op_type is ast.Add:
-            return flatten(Add((left_e, _as_expression(right))))
-        if op_type is ast.Sub:
-            return flatten(Add((left_e, Mul((Const(Fraction(-1)),
-                                             _as_expression(right))))))
-        if op_type is ast.Mult:
-            return flatten(Mul((left_e, _as_expression(right))))
+        if op_type is ast.Pow and (not isinstance(right, int) or right < 0):
+            raise FrontendError("exponents must be nonnegative integers")
         if op_type is ast.Div:
-            if not isinstance(right, (int, Fraction)):
-                folded = flatten(_as_expression(right))
-                if not isinstance(folded, Const):
-                    raise FrontendError("division by a non-constant is not polynomial")
-                right = folded.value
-            if right == 0:
+            # The divisor must fold to a nonzero number; quotients stay exact.
+            divisor = _as_polynomial(right)
+            if not divisor.is_constant():
+                raise FrontendError("division by a non-constant is not polynomial")
+            if divisor.is_zero():
                 raise FrontendError("division by zero in target code")
-            return flatten(Mul((left_e, Const(Fraction(1) / Fraction(right)))))
+            right = divisor.constant_value()
+        if isinstance(left, (int, Fraction)) and isinstance(right, (int, Fraction)):
+            if op_type not in _NUMBER_OPS:
+                raise FrontendError(f"unsupported operator {op_type.__name__}")
+            return _NUMBER_OPS[op_type](left, right)
+        left = _as_polynomial(left)
+        if op_type is ast.Add:
+            return left + _as_polynomial(right)
+        if op_type is ast.Sub:
+            return left - _as_polynomial(right)
+        if op_type is ast.Mult:
+            return left * _as_polynomial(right)
+        if op_type is ast.Div:
+            return left / right
         if op_type is ast.Pow:
-            if not isinstance(right, int) or right < 0:
-                raise FrontendError("exponents must be nonnegative integers")
-            return flatten(Pow(left_e, right))
+            return left ** right
         raise FrontendError(f"unsupported operator {op_type.__name__} on symbols")
 
 
-def _as_expression(value) -> Expression:
-    if isinstance(value, Expression):
+def _as_polynomial(value) -> Polynomial:
+    if isinstance(value, Polynomial):
         return value
     if isinstance(value, (int, Fraction)):
-        return Const(Fraction(value))
+        return Polynomial.constant(value)
     if isinstance(value, _Array):
         raise FrontendError("arrays cannot be used as scalar values")
     raise FrontendError(f"cannot use {value!r} symbolically")
@@ -390,7 +395,11 @@ def extract_block(source_or_callable,
                   inputs: Sequence[SymbolicInput | ArrayInput],
                   approximations: Mapping[str, Polynomial] | None = None,
                   name: str | None = None) -> TargetBlock:
-    """Symbolically execute a kernel and polynomialize its outputs.
+    """Symbolically execute a kernel into output polynomials.
+
+    The arithmetic is polynomial throughout: each statement updates
+    canonical :class:`Polynomial` values, so the returned values are
+    the block's outputs as they stand.
 
     Parameters
     ----------
@@ -400,8 +409,9 @@ def extract_block(source_or_callable,
         One spec per function parameter, in order.
     approximations:
         Optional ``{function: polynomial in _arg}`` map for nonlinear
-        calls (Section 3.2's Taylor/Chebyshev step).  Without an entry,
-        a surviving Call makes polynomialization fail.
+        calls (Section 3.2's Taylor/Chebyshev step).  Each call is
+        expanded where it is made; a call without an entry raises
+        :class:`~repro.errors.FrontendError` there.
 
     Returns a :class:`TargetBlock` whose outputs are the function's
     returned values (``out0``, ``out1``, ... for tuples).
@@ -423,7 +433,7 @@ def extract_block(source_or_callable,
     input_names: list[str] = []
     for arg, spec in zip(fn.args.args, inputs):
         if isinstance(spec, SymbolicInput):
-            env[arg.arg] = Var(spec.name)
+            env[arg.arg] = Polynomial.variable(spec.name)
             input_names.append(spec.name)
         elif isinstance(spec, ArrayInput):
             array = _build_array(spec)
@@ -432,25 +442,19 @@ def extract_block(source_or_callable,
         else:
             raise FrontendError(f"bad input spec {spec!r}")
 
-    interpreter = _Interpreter(env)
+    interpreter = _Interpreter(env, approximations or {})
     interpreter.execute(fn.body)
     if interpreter.returned is None:
         raise FrontendError(f"{fn.name} never returns a value")
 
     returned = interpreter.returned
     raw_outputs = (returned.items if isinstance(returned, _Array) else [returned])
-    expressions: dict[str, Expression] = {}
-    outputs: dict[str, Polynomial] = {}
-    for i, value in enumerate(raw_outputs):
-        key = "out" if len(raw_outputs) == 1 else f"out{i}"
-        expr = flatten(_as_expression(value))
-        expressions[key] = expr
-        outputs[key] = expr.to_polynomial(approximations)
+    outputs = {"out" if len(raw_outputs) == 1 else f"out{i}": _as_polynomial(value)
+               for i, value in enumerate(raw_outputs)}
     return TargetBlock(
         name=name or fn.name,
         outputs=outputs,
-        input_variables=tuple(n for n in input_names),
-        expressions=expressions,
+        input_variables=tuple(input_names),
     )
 
 
@@ -459,6 +463,6 @@ def _leaf_names(array: _Array) -> list[str]:
     for item in array.items:
         if isinstance(item, _Array):
             names.extend(_leaf_names(item))
-        elif isinstance(item, Var):
-            names.append(item.name)
+        elif isinstance(item, Polynomial):
+            names.extend(item.variables)
     return names

@@ -171,13 +171,6 @@ class BlockParetoResult:
         """The scalar (cycles-only) winner, identical to ``MappingSession.map``'s."""
         return self.matches[0] if self.matches else None
 
-    def point_for(self, element_name: str) -> ParetoPoint:
-        """The front point of ``element_name`` (raises if dominated/absent)."""
-        for point in self.front:
-            if point.element_name == element_name:
-                return point
-        raise KeyError(element_name)
-
 
 def score_element(element: LibraryElement, platform: Badge4) -> Objectives:
     """Price one element's per-call cost as an objective vector.

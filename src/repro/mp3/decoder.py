@@ -66,10 +66,6 @@ class DecoderConfig:
                 raise Mp3Error(f"unknown stage variant {variant!r}")
 
     @property
-    def frontend_domain(self) -> str:
-        return dq.VARIANTS[self.dequantize][1]
-
-    @property
     def imdct_domain(self) -> str:
         return im.VARIANTS[self.imdct][1]
 

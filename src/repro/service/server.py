@@ -657,8 +657,3 @@ class ServiceThread:
         finally:
             self._loop.call_soon_threadsafe(self._loop.stop)
             self._thread.join(timeout=60)
-
-    def run_coroutine(self, coro):
-        """Run ``coro`` on the service loop; blocks for the result."""
-        return asyncio.run_coroutine_threadsafe(coro, self._loop).result(
-            timeout=60)

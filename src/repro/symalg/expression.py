@@ -8,15 +8,18 @@ The symbolic engine has two representations:
   order and sharing decisions, so it can be costed (operation counts)
   and emitted back as source.
 
-The frontend lowers target code into expressions; ``to_polynomial``
-canonicalizes them for the mapping search; Horner and tree-height
+The frontend computes straight into polynomials; expressions appear
+where code is scheduled, written or parsed.  Horner and tree-height
 reduction return new expressions whose operation counts feed the
-platform cost model.
+platform cost model and which the code rewriter and the lowering
+emit; the parser builds them from text; ``to_polynomial``
+canonicalizes any of them back to a polynomial.
 
-Nonlinear calls (``exp``, ``log``...) appear as :class:`Call` nodes.
-``to_polynomial`` either rejects them (strict mode) or substitutes a
-polynomial approximation supplied by the caller — the paper's
-Taylor/Chebyshev step.
+Nonlinear calls (``exp``, ``log``...) appear as :class:`Call` nodes,
+which evaluate through a caller-supplied function table but have no
+polynomial form: ``to_polynomial`` rejects them.  The paper's
+Taylor/Chebyshev step is the frontend's model expansion, which
+substitutes the approximation at the call site.
 """
 
 from __future__ import annotations
@@ -64,16 +67,9 @@ class Expression:
         """Immediate sub-expressions."""
         raise NotImplementedError
 
-    def to_polynomial(self,
-                      approximations: Mapping[str, Polynomial] | None = None
-                      ) -> Polynomial:
-        """Canonicalize to a polynomial.
-
-        ``approximations`` maps a function name to a univariate
-        polynomial in the reserved variable ``_arg`` which is substituted
-        for each call (the Taylor/Chebyshev step); without an entry a
-        :class:`Call` raises :class:`~repro.errors.SymbolicError`.
-        """
+    def to_polynomial(self) -> Polynomial:
+        """Canonicalize to a polynomial (a :class:`Call` raises
+        :class:`~repro.errors.SymbolicError`)."""
         raise NotImplementedError
 
     def op_count(self) -> OpCount:
@@ -133,7 +129,7 @@ class Const(Expression):
     def children(self):
         return ()
 
-    def to_polynomial(self, approximations=None):
+    def to_polynomial(self):
         return Polynomial.constant(self.value)
 
     def op_count(self):
@@ -157,7 +153,7 @@ class Var(Expression):
     def children(self):
         return ()
 
-    def to_polynomial(self, approximations=None):
+    def to_polynomial(self):
         return Polynomial.variable(self.name)
 
     def op_count(self):
@@ -186,10 +182,10 @@ class Add(Expression):
     def children(self):
         return self.args
 
-    def to_polynomial(self, approximations=None):
+    def to_polynomial(self):
         total = Polynomial.zero()
         for arg in self.args:
-            total = total + arg.to_polynomial(approximations)
+            total = total + arg.to_polynomial()
         return total
 
     def op_count(self):
@@ -221,10 +217,10 @@ class Mul(Expression):
     def children(self):
         return self.args
 
-    def to_polynomial(self, approximations=None):
+    def to_polynomial(self):
         total = Polynomial.one()
         for arg in self.args:
-            total = total * arg.to_polynomial(approximations)
+            total = total * arg.to_polynomial()
         return total
 
     def op_count(self):
@@ -250,8 +246,8 @@ class Pow(Expression):
     def children(self):
         return (self.base,)
 
-    def to_polynomial(self, approximations=None):
-        return self.base.to_polynomial(approximations) ** self.exponent
+    def to_polynomial(self):
+        return self.base.to_polynomial() ** self.exponent
 
     def op_count(self):
         # Costed as repeated multiplication (exponent - 1 muls), the way
@@ -279,19 +275,10 @@ class Call(Expression):
     def children(self):
         return self.args
 
-    def to_polynomial(self, approximations=None):
-        if approximations is None or self.function not in approximations:
-            raise SymbolicError(
-                f"cannot polynomialize call to {self.function!r} without an approximation")
-        if len(self.args) != 1:
-            raise SymbolicError(
-                f"approximation substitution supports unary calls, got {len(self.args)}")
-        series = approximations[self.function]
-        inner = self.args[0].to_polynomial(approximations)
-        if series.variables and series.variables != ("_arg",):
-            raise SymbolicError(
-                f"approximation for {self.function!r} must use the variable '_arg'")
-        return series.substitute({"_arg": inner})
+    def to_polynomial(self):
+        raise SymbolicError(
+            f"call to {self.function!r} has no polynomial form; expand it "
+            "with an approximation when extracting the block")
 
     def op_count(self):
         count = OpCount(calls=1)

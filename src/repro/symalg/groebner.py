@@ -12,18 +12,11 @@ pair-pruning criteria:
   some ``k`` has ``LT(g_k)`` dividing ``lcm(LT(g_i), LT(g_j))`` and the
   pairs ``(i, k)`` and ``(j, k)`` were already handled.
 
-Pair selection is pluggable (``selection=``): **normal selection**
-processes pairs by ascending lcm total degree; **sugar selection**
-(Giovini et al., "One sugar cube, please") orders by the *sugar
-degree* — the degree the S-polynomial would have had if the inputs
-were homogenized, a guard against the degree spikes normal selection
-can hit on inhomogeneous ideals.  The reduced basis is canonical, so
-both strategies return identical results; only the amount of
-intermediate work differs.  The default
-(:data:`DEFAULT_SELECTION`) was chosen by benchmarking both on the
-paper's Table-2 side-relation ideals — see
-``benchmarks/bench_groebner_selection.py`` and the note on the
-constant.
+Pairs are processed by **normal selection**: ascending total degree of
+their lcm, ties broken by pair index (sugar selection measured no
+faster on the paper's Table-2 side-relation ideals).  The reduced
+basis is canonical, so the selection order only decides how much
+intermediate work the computation does.
 
 Since the computation is worst-case doubly exponential, work limits
 (basis size / pair count) guard against runaway instances and raise
@@ -53,23 +46,12 @@ from repro.symalg.ordering import GREVLEX, TermOrder
 from repro.symalg.polynomial import Polynomial
 
 __all__ = ["s_polynomial", "groebner_basis", "is_groebner_basis",
-           "DEFAULT_MAX_BASIS", "DEFAULT_MAX_PAIRS", "DEFAULT_SELECTION"]
+           "DEFAULT_MAX_BASIS", "DEFAULT_MAX_PAIRS"]
 
 #: Default work limits, shared with the callers that memoize bases
 #: (see :mod:`repro.symalg.ideal`) so cache keys stay consistent.
 DEFAULT_MAX_BASIS = 200
 DEFAULT_MAX_PAIRS = 5000
-
-#: Default S-pair selection strategy, chosen by benchmarking both on
-#: the Table-2 side-relation ideals plus heavier stress ideals
-#: (``benchmarks/bench_groebner_selection.py``): on the side-relation
-#: ideals the two are within noise (<2%), and on the inhomogeneous
-#: degree-4 stress case normal selection wins by ~15%, so normal stays
-#: the default.  Sugar remains available for workloads with the deep
-#: inhomogeneous elimination chains it was designed for.
-DEFAULT_SELECTION = "normal"
-
-_SELECTIONS = ("normal", "sugar")
 
 
 def s_polynomial(f: Polynomial, g: Polynomial,
@@ -142,15 +124,11 @@ def groebner_basis(generators: Iterable[Polynomial],
                    order: TermOrder = GREVLEX,
                    *,
                    max_basis: int = DEFAULT_MAX_BASIS,
-                   max_pairs: int = DEFAULT_MAX_PAIRS,
-                   selection: str = DEFAULT_SELECTION) -> list[Polynomial]:
+                   max_pairs: int = DEFAULT_MAX_PAIRS) -> list[Polynomial]:
     """Compute the reduced Groebner basis of the ideal of ``generators``.
 
     The result is monic, inter-reduced, and sorted leading-term
-    descending, hence canonical for the given order — independent of
-    the ``selection`` strategy ("normal", the default, or "sugar"),
-    which only decides the order S-pairs are processed in and thus how
-    much intermediate work the computation does.
+    descending, hence canonical for the given order.
 
     >>> from repro.symalg.polynomial import symbols
     >>> x, y = symbols("x y")
@@ -163,10 +141,6 @@ def groebner_basis(generators: Iterable[Polynomial],
         If the basis grows beyond ``max_basis`` elements or more than
         ``max_pairs`` S-pairs are processed.
     """
-    if selection not in _SELECTIONS:
-        raise ValueError(f"unknown selection strategy {selection!r}; "
-                         f"expected one of {_SELECTIONS}")
-    use_sugar = selection == "sugar"
     gens = [g for g in generators if not g.is_zero()]
     if not gens:
         return []
@@ -179,10 +153,6 @@ def groebner_basis(generators: Iterable[Polynomial],
 
     basis: list[dict] = []
     lts: list[int] = []
-    #: Sugar degree per basis element: for an input generator, its true
-    #: total degree; for a computed element, the sugar of the pair that
-    #: produced it (the degree it would have under homogenization).
-    sugars: list[int] = []
     # The division view of the basis, grown in lockstep with it.
     divisors: list[tuple[int, object, dict]] = []
     for g in gens:
@@ -191,24 +161,13 @@ def groebner_basis(generators: Iterable[Polynomial],
         monic = _monic_codes(codes, lt)
         basis.append(monic)
         lts.append(lt)
-        sugars.append(max(degree(code) for code in codes))
         divisors.append((lt, 1, monic))
 
-    # S-pairs in a heap.  Entry: (primary, secondary, i, j, pair_sugar).
-    # Normal selection keys on the lcm's total degree; sugar selection
-    # keys on the pair's sugar degree, tie-broken by lcm degree.
-    pair_heap: list[tuple[int, int, int, int, int]] = []
+    # S-pairs in a heap of (lcm total degree, i, j): normal selection.
+    pair_heap: list[tuple[int, int, int]] = []
 
     def push_pair(i: int, j: int) -> None:
-        common = lcm(lts[i], lts[j])
-        lcm_deg = degree(common)
-        pair_sugar = max(sugars[i] + lcm_deg - degree(lts[i]),
-                         sugars[j] + lcm_deg - degree(lts[j]))
-        if use_sugar:
-            entry = (pair_sugar, lcm_deg, i, j, pair_sugar)
-        else:
-            entry = (lcm_deg, 0, i, j, pair_sugar)
-        heapq.heappush(pair_heap, entry)
+        heapq.heappush(pair_heap, (degree(lcm(lts[i], lts[j])), i, j))
 
     for i in range(len(basis)):
         for j in range(i):
@@ -221,7 +180,7 @@ def groebner_basis(generators: Iterable[Polynomial],
         if processed > max_pairs:
             raise GroebnerExplosion(
                 f"Buchberger exceeded {max_pairs} S-pairs")
-        _, _, i, j, pair_sugar = heapq.heappop(pair_heap)
+        _, i, j = heapq.heappop(pair_heap)
         done.add((i, j))
 
         if coprime(lts[i], lts[j]):
@@ -242,10 +201,6 @@ def groebner_basis(generators: Iterable[Polynomial],
         monic = _monic_codes(remainder, lt)
         basis.append(monic)
         lts.append(lt)
-        # Reduction cannot raise the homogenized degree: the pair's
-        # sugar bounds the new element's (floored by its true degree).
-        sugars.append(max(pair_sugar,
-                          max(degree(code) for code in remainder)))
         divisors.append((lt, 1, monic))
         if len(basis) > max_basis:
             raise GroebnerExplosion(

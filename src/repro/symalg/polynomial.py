@@ -34,7 +34,7 @@ import hashlib
 import json
 from fractions import Fraction
 from numbers import Rational
-from typing import Callable, Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from repro.errors import SymbolicError
 from repro.symalg.monomials import (MASK, MAX_EXPONENT, SHIFT, pack, remap,
@@ -584,15 +584,6 @@ class Polynomial:
             return self
         return Polynomial._from_frame(new_names, dict(self._codes))
 
-    def map_coefficients(self, fn: Callable[[Fraction], Scalar]) -> "Polynomial":
-        """Apply ``fn`` to every coefficient."""
-        out: dict[int, _Coeff] = {}
-        for code, coeff in self._codes.items():
-            val = _to_coeff(fn(_as_fraction(coeff)))
-            if val:
-                out[code] = val
-        return Polynomial._from_codes(self._variables, out)
-
     # ------------------------------------------------------------------
     # Term-order-dependent views
     # ------------------------------------------------------------------
@@ -627,11 +618,6 @@ class Polynomial:
                 exps = unpack(arranged[best], n)
             cache[order] = exps
         return exps, _as_fraction(self._codes[pack(exps)])
-
-    def leading_monomial(self, order: TermOrder = GREVLEX) -> "Polynomial":
-        """The leading term as a (monic) polynomial."""
-        exps, _ = self.leading_term(order)
-        return Polynomial._from_codes(self._variables, {pack(exps): 1})
 
     def leading_coefficient(self, order: TermOrder = GREVLEX) -> Fraction:
         """Coefficient of the leading term."""

@@ -14,8 +14,8 @@ Two constructions are provided:
   kernels.  Coefficients are floats converted exactly to rationals.
 
 All results are univariate polynomials in a caller-chosen variable
-(default ``_arg``, the name :meth:`Expression.to_polynomial` substitutes
-call arguments into).
+(default ``_arg``, the variable the frontend's model expansion replaces
+with a call's argument, see :func:`repro.frontend.extract_block`).
 """
 
 from __future__ import annotations

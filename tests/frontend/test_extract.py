@@ -181,6 +181,17 @@ def f(a):
 
 
 class TestConditionals:
+    def test_comparison_on_a_pinned_table_constant_folds(self):
+        block = extract("""
+def f(a, t):
+    if t[0] * 2 > t[1]:
+        r = a
+    else:
+        r = a * 100
+    return r
+""", [SymbolicInput("x"), ArrayInput("t", (2,), values=[3, 5])])
+        assert block.polynomial() == x
+
     def test_constant_condition_folds(self):
         block = extract("""
 def f(a):
@@ -209,13 +220,12 @@ def f(c, a, b):
 
 
 class TestNonlinear:
-    def test_call_survives_as_expression(self):
-        block_fails = """
+    def test_call_without_approximation_raises_at_the_call(self):
+        with pytest.raises(FrontendError, match="'exp' needs a polynomial approximation"):
+            extract("""
 def f(a):
     return exp(a)
-"""
-        with pytest.raises(Exception):
-            extract(block_fails, [SymbolicInput("x")])
+""", [SymbolicInput("x")])
 
     def test_model_expansion_with_taylor(self):
         block = extract("""
@@ -223,6 +233,27 @@ def f(a):
     return exp(a) + 1
 """, [SymbolicInput("x")], approximations={"exp": taylor("exp", 2)})
         assert block.polynomial() == x ** 2 / 2 + x + 2
+
+    def test_call_with_approximation(self):
+        block = extract("""
+def f(a):
+    return exp(a)
+""", [SymbolicInput("x")], approximations={"exp": taylor("exp", 2)})
+        assert block.polynomial() == x ** 2 / 2 + x + 1
+
+    def test_call_approximation_composes_argument(self):
+        block = extract("""
+def f(a):
+    return exp(2 * a)
+""", [SymbolicInput("x")], approximations={"exp": taylor("exp", 2)})
+        assert block.polynomial() == 2 * x ** 2 + 2 * x + 1
+
+    def test_approximation_must_be_in_arg(self):
+        with pytest.raises(FrontendError, match="'_arg'"):
+            extract("""
+def f(a):
+    return exp(a)
+""", [SymbolicInput("x")], approximations={"exp": taylor("exp", 2, "t")})
 
     def test_unknown_function_rejected(self):
         with pytest.raises(FrontendError):

@@ -143,7 +143,7 @@ _READ = {
 _IGNORED = {
     "element": {"kernel": len, "description": "prose"},
     "spec": {"description": "prose"},
-    "block": {"expressions": {"o": None}},
+    "block": {},
 }
 
 

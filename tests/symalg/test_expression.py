@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import SymbolicError
 from repro.symalg import (Add, Call, Const, Mul, OpCount, Pow,
-                          Var, const, flatten, symbols, taylor, to_source, var)
+                          Var, const, flatten, symbols, to_source, var)
 
 x_p, y_p = symbols("x y")
 
@@ -46,18 +46,6 @@ class TestToPolynomial:
     def test_call_strict_raises(self):
         with pytest.raises(SymbolicError):
             Call("exp", (var("x"),)).to_polynomial()
-
-    def test_call_with_approximation(self):
-        approx = {"exp": taylor("exp", 2)}
-        e = Call("exp", (var("x"),))
-        got = e.to_polynomial(approx)
-        assert got == x_p ** 2 / 2 + x_p + 1
-
-    def test_call_approximation_composes_argument(self):
-        approx = {"exp": taylor("exp", 2)}
-        e = Call("exp", (Mul((const(2), var("x"))),))
-        got = e.to_polynomial(approx)
-        assert got == 2 * x_p ** 2 + 2 * x_p + 1
 
 
 class TestOpCount:

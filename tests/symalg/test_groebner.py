@@ -135,28 +135,9 @@ class TestNormalForm:
 
 
 class TestSelectionStrategies:
-    """The selection knob changes work order, never results."""
-
-    IDEALS = [
-        ([Polynomial.variable("p") - (x ** 2 - 2 * y)],
-         TermOrder("lex", ("x", "y", "p"))),
-        ([x ** 2 - y, y ** 2 - 1], GREVLEX),
-        ([x + y + z, x * y + y * z + z * x, x * y * z - 1], GREVLEX),
-        ([x ** 3 - 2 * x * y, x ** 2 * y - 2 * y ** 2 + x], GREVLEX),
-    ]
-
-    @pytest.mark.parametrize("index", range(len(IDEALS)))
-    def test_sugar_equals_normal(self, index):
-        gens, order = self.IDEALS[index]
-        assert groebner_basis(gens, order, selection="sugar") == \
-            groebner_basis(gens, order, selection="normal")
+    """Normal selection, the only strategy, returns a Groebner basis."""
 
     def test_both_are_groebner_bases(self):
         gens = [x ** 2 - y, x * y - z]
-        for sel in ("normal", "sugar"):
-            basis = groebner_basis(gens, GREVLEX, selection=sel)
-            assert is_groebner_basis(basis, GREVLEX)
-
-    def test_unknown_selection_rejected(self):
-        with pytest.raises(ValueError):
-            groebner_basis([x ** 2 - y], GREVLEX, selection="bogus")
+        basis = groebner_basis(gens, GREVLEX)
+        assert is_groebner_basis(basis, GREVLEX)

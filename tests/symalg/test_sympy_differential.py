@@ -128,31 +128,29 @@ def _sympy_grevlex_gb(gens):
 
 
 class TestRandomGroebnerDifferential:
-    """Randomized GB differential: both selection strategies vs sympy.
+    """Randomized GB differential against sympy.
 
-    The reduced monic basis is canonical for the order, so "normal" and
-    "sugar" selection must agree with each other exactly *and* with an
-    independent implementation — on ideals nobody hand-picked.
+    The reduced monic basis is canonical for the order, so ours must
+    equal an independent implementation's — on ideals nobody
+    hand-picked.
     """
 
     @given(ideal_polynomials(), ideal_polynomials())
-    def test_random_ideal_gb_matches_sympy_both_selections(self, f, g):
+    def test_random_ideal_gb_matches_sympy(self, f, g):
         gens = [p for p in (f, g) if not p.is_zero()]
         assume(gens)
         try:
-            normal = groebner_basis(gens, GREVLEX, selection="normal")
-            sugar = groebner_basis(gens, GREVLEX, selection="sugar")
+            ours = groebner_basis(gens, GREVLEX)
         except GroebnerExplosion:
             assume(False)
-        assert [str(p) for p in normal] == [str(p) for p in sugar]
-        assert sorted(str(p) for p in normal) == _sympy_grevlex_gb(gens)
+        assert sorted(str(p) for p in ours) == _sympy_grevlex_gb(gens)
 
     @given(ideal_polynomials(), ideal_polynomials(), ideal_polynomials())
     def test_random_three_generator_ideal(self, f, g, h):
         gens = [p for p in (f, g, h) if not p.is_zero()]
         assume(gens)
         try:
-            ours = groebner_basis(gens, GREVLEX, selection="sugar")
+            ours = groebner_basis(gens, GREVLEX)
         except GroebnerExplosion:
             assume(False)
         assert sorted(str(p) for p in ours) == _sympy_grevlex_gb(gens)
