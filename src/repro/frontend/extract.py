@@ -20,7 +20,9 @@ transformations by construction:
   computations are hoisted wherever their operands are — **code
   motion** falls out of dataflow;
 * ``if`` on a *symbolic* 0/1 condition evaluates both arms and blends
-  them as ``cond*then + (1-cond)*else`` — **conditional expansion**;
+  them as ``cond*then + (1-cond)*else`` — **conditional expansion**
+  (of the scalars the arms bind: a ``return`` or an array element
+  store inside an arm raises);
 * a call to a known nonlinear function is expanded where it is made:
   its Taylor/Chebyshev approximation (a polynomial in ``_arg``) is
   composed with the argument — **model expansion**.
@@ -142,9 +144,14 @@ class _Interpreter(ast.NodeVisitor):
     arrays of values.
     """
 
-    def __init__(self, env: dict, approximations: Mapping[str, Polynomial]):
+    def __init__(self, env: dict, approximations: Mapping[str, Polynomial],
+                 in_arm: bool = False):
         self.env = env
         self.approximations = approximations
+        #: Executing an arm of a data-dependent ``if``: both arms run on
+        #: copies of the scalar bindings, which are blended afterwards,
+        #: so nothing else may leave the arm.
+        self.in_arm = in_arm
         self.returned = None
 
     # -- statements ----------------------------------------------------
@@ -185,9 +192,9 @@ class _Interpreter(ast.NodeVisitor):
         # Conditional expansion: both arms run on copies, results blend.
         then_env = dict(self.env)
         else_env = dict(self.env)
-        _Interpreter(then_env, self.approximations).execute(node.body)
+        _Interpreter(then_env, self.approximations, in_arm=True).execute(node.body)
         if node.orelse:
-            _Interpreter(else_env, self.approximations).execute(node.orelse)
+            _Interpreter(else_env, self.approximations, in_arm=True).execute(node.orelse)
         cond = _as_polynomial(condition)
         for name in set(then_env) | set(else_env):
             a = then_env.get(name)
@@ -203,6 +210,10 @@ class _Interpreter(ast.NodeVisitor):
     def visit_Return(self, node: ast.Return) -> None:
         if node.value is None:
             raise FrontendError("return must carry a value")
+        if self.in_arm:
+            raise FrontendError(
+                "return inside a data-dependent if is not supported; assign "
+                "the value in both arms and return it after the if")
         self.returned = self.eval(node.value)
 
     def visit_Expr(self, node: ast.Expr) -> None:
@@ -221,6 +232,11 @@ class _Interpreter(ast.NodeVisitor):
             self.env[target.id] = value
             return
         if isinstance(target, ast.Subscript):
+            if self.in_arm:
+                raise FrontendError(
+                    "array element assignment inside a data-dependent if is "
+                    "not supported; blend a scalar in both arms and store it "
+                    "after the if")
             container = self.eval(target.value)
             if not isinstance(container, _Array):
                 raise FrontendError("subscript assignment needs an array")
@@ -339,6 +355,8 @@ class _Interpreter(ast.NodeVisitor):
         if isinstance(left, (int, Fraction)) and isinstance(right, (int, Fraction)):
             if op_type not in _NUMBER_OPS:
                 raise FrontendError(f"unsupported operator {op_type.__name__}")
+            if op_type in (ast.FloorDiv, ast.Mod) and right == 0:
+                raise FrontendError("division by zero in target code")
             return _NUMBER_OPS[op_type](left, right)
         left = _as_polynomial(left)
         if op_type is ast.Add:

@@ -359,15 +359,26 @@ def flatten(expr: Expression) -> Expression:
     Keeps the tree small and makes operation counts honest (no
     double-counted parentheses).  Pure structural simplification — no
     algebraic rewriting beyond constant folding and identity removal.
+
+    One pass, one call per node: each child is flattened once, and the
+    arguments of a flattened child of the same type are spliced in as
+    they are — they are already flat, and none of them is a same-type
+    node — so nothing below a level of a right-nested Horner chain is
+    flattened again.
     """
     if isinstance(expr, Add):
         args: list[Expression] = []
         constant = Fraction(0)
-        pending = list(expr.args)
-        while pending:
-            arg = flatten(pending.pop(0))
+        for child in expr.args:
+            arg = flatten(child)
             if isinstance(arg, Add):
-                pending = list(arg.args) + pending
+                # Flat already: only its last argument can be a Const.
+                *parts, last = arg.args
+                if isinstance(last, Const):
+                    constant += last.value
+                else:
+                    parts.append(last)
+                args.extend(parts)
             elif isinstance(arg, Const):
                 constant += arg.value
             else:
@@ -378,11 +389,16 @@ def flatten(expr: Expression) -> Expression:
     if isinstance(expr, Mul):
         args = []
         constant = Fraction(1)
-        pending = list(expr.args)
-        while pending:
-            arg = flatten(pending.pop(0))
+        for child in expr.args:
+            arg = flatten(child)
             if isinstance(arg, Mul):
-                pending = list(arg.args) + pending
+                # Flat already: only its first argument can be a Const.
+                first, *parts = arg.args
+                if isinstance(first, Const):
+                    constant *= first.value
+                else:
+                    args.append(first)
+                args.extend(parts)
             elif isinstance(arg, Const):
                 constant *= arg.value
             else:

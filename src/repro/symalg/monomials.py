@@ -28,6 +28,8 @@ bit at ``2**(SHIFT-1)``).  Doctest smoke:
 >>> code = pack((2, 0, 1))
 >>> unpack(code, 3)
 (2, 0, 1)
+>>> nonzero_fields(code, 3)
+[(0, 2), (2, 1)]
 >>> degree(code)
 3
 >>> divides(pack((1, 0, 1)), code, guard_mask(3))
@@ -43,7 +45,8 @@ from typing import Sequence
 
 __all__ = [
     "SHIFT", "MASK", "MAX_EXPONENT",
-    "pack", "unpack", "degree", "guard_mask", "divides", "lcm", "coprime",
+    "pack", "unpack", "nonzero_fields", "degree", "guard_mask", "divides",
+    "lcm", "coprime",
     "remap_table", "remap",
 ]
 
@@ -71,6 +74,23 @@ def pack(exps: Sequence[int]) -> int:
 def unpack(code: int, n: int) -> tuple[int, ...]:
     """Inverse of :func:`pack` for an ``n``-variable frame."""
     return tuple((code >> (SHIFT * (n - 1 - i))) & MASK for i in range(n))
+
+
+def nonzero_fields(code: int, n: int) -> list[tuple[int, int]]:
+    """``(index, exponent)`` of each nonzero field of an ``n``-variable
+    code, by index: :func:`unpack` without the zeros.
+
+    Walks the set fields from the most significant down, finding each
+    with ``bit_length``, so a sparse monomial over a wide frame costs
+    its own variables, not the width of the frame.
+    """
+    out = []
+    while code:
+        field = (code.bit_length() - 1) // SHIFT
+        shift = SHIFT * field
+        out.append((n - 1 - field, code >> shift))
+        code &= (1 << shift) - 1
+    return out
 
 
 def degree(code: int) -> int:

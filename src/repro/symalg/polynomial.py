@@ -37,8 +37,8 @@ from numbers import Rational
 from typing import Iterator, Mapping, Sequence, Union
 
 from repro.errors import SymbolicError
-from repro.symalg.monomials import (MASK, MAX_EXPONENT, SHIFT, pack, remap,
-                                    remap_table, unpack)
+from repro.symalg.monomials import (MASK, MAX_EXPONENT, SHIFT, nonzero_fields,
+                                    pack, remap, remap_table, unpack)
 from repro.symalg.ordering import GREVLEX, TermOrder
 
 __all__ = ["Polynomial", "symbols", "Coefficient", "Scalar"]
@@ -338,11 +338,12 @@ class Polynomial:
         return _as_fraction(self._codes.get(code, 0))
 
     def iter_terms(self) -> Iterator[tuple[dict[str, int], Fraction]]:
-        """Yield ``({var: exponent}, coefficient)`` pairs."""
-        n = len(self._variables)
+        """Yield ``({var: exponent}, coefficient)`` pairs, listing the
+        variables each term uses (in :attr:`variables` order)."""
+        variables = self._variables
+        n = len(variables)
         for code, coeff in self._codes.items():
-            exps = unpack(code, n)
-            yield ({v: e for v, e in zip(self._variables, exps) if e},
+            yield ({variables[i]: e for i, e in nonzero_fields(code, n)},
                    _as_fraction(coeff))
 
     def _field_shift(self, index: int) -> int:

@@ -65,6 +65,14 @@ def f(a):
 """, [SymbolicInput("x")])
         assert block.polynomial() == x / 4
 
+    @pytest.mark.parametrize("op", ["//", "%"])
+    def test_integer_division_by_constant_zero_raises(self, op):
+        with pytest.raises(FrontendError, match="division by zero"):
+            extract(f"""
+def f(a):
+    return a + 7 {op} 0
+""", [SymbolicInput("x")])
+
     def test_power(self):
         block = extract("""
 def f(a):
@@ -217,6 +225,44 @@ def f(c, a, b):
         # r = c*a + (1-c)*b
         assert poly.evaluate({"c": 1, "a": 5, "b": 9}) == 5
         assert poly.evaluate({"c": 0, "a": 5, "b": 9}) == 9
+
+    @pytest.mark.parametrize("body", [
+        # A return in either arm would otherwise be dropped: the arm
+        # runs on a copy of the bindings.
+        "    if c:\n        return a\n    return a * 2\n",
+        "    r = a\n    if c:\n        r = a * 3\n    else:\n        return a\n    return r\n",
+        # ...also from a constant-folded if nested in the arm.
+        "    r = a\n    if c:\n        if 2 > 1:\n            return a\n    return r * 2\n",
+    ], ids=["then_arm", "else_arm", "folded_if_in_arm"])
+    def test_return_inside_a_symbolic_arm_raises(self, body):
+        with pytest.raises(FrontendError, match="return inside a data-dependent if"):
+            extract("def f(c, a):\n" + body,
+                    [SymbolicInput("c"), SymbolicInput("a")])
+
+    @pytest.mark.parametrize("store", ["out[0] = a", "out[0] += a"])
+    def test_array_write_inside_a_symbolic_arm_raises(self, store):
+        # The arms share the array, so the write would apply whatever c is.
+        with pytest.raises(FrontendError, match="array element assignment"):
+            extract(f"""
+def f(c, a):
+    out = [0] * 1
+    if c:
+        {store}
+    return out
+""", [SymbolicInput("c"), SymbolicInput("a")])
+
+    def test_array_write_under_a_folded_condition(self):
+        block = extract("""
+def f(a, b):
+    out = [0] * 2
+    for i in range(2):
+        if i == 0:
+            out[i] = a
+        else:
+            out[i] += b
+    return out
+""", [SymbolicInput("x"), SymbolicInput("y")])
+        assert block.outputs == {"out0": x, "out1": y}
 
 
 class TestNonlinear:

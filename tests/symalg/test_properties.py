@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from repro.symalg import Polynomial
 from repro.symalg.monomials import (coprime, degree, divides, guard_mask,
-                                    lcm, pack, remap, remap_table, unpack)
+                                    lcm, nonzero_fields, pack, remap,
+                                    remap_table, unpack)
 
 from .strategies import evaluation_points, polynomials
 
@@ -34,6 +35,11 @@ class TestPackedMonomials:
     @given(st.lists(exponents, min_size=1, max_size=6))
     def test_pack_unpack_roundtrip(self, exps):
         assert unpack(pack(exps), len(exps)) == tuple(exps)
+
+    @given(st.lists(st.one_of(st.just(0), exponents), max_size=40))
+    def test_nonzero_fields_is_unpack_without_zeros(self, exps):
+        expected = [(i, e) for i, e in enumerate(exps) if e]
+        assert nonzero_fields(pack(exps), len(exps)) == expected
 
     @given(st.lists(exponents, min_size=1, max_size=6))
     def test_degree_is_sum_of_exponents(self, exps):
