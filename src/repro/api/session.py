@@ -414,8 +414,8 @@ class MappingSession:
         """This session's cache statistics, in the canonical shape.
 
         The tiers' ``{"decompose", "map_block", "disk"}`` plus a
-        ``"shared"`` sub-dict for the process-wide pure-function caches
-        (instantiations, manipulations, hints) every session shares.
+        ``"shared"`` sub-dict for the process-wide pure-function cache
+        (instantiations) every session shares.
         """
         stats = self.tiers.stats()
         stats["shared"] = shared_cache_stats()

@@ -20,8 +20,9 @@ rows (powers lower to repeated multiplication, exactly as
 nodes have no lowering: nonlinear functions reach the mapper only
 through polynomial approximations, which are already plain arithmetic.
 
->>> from repro.symalg.parser import parse_polynomial
->>> kernel = lower_polynomials("sq", {"out": parse_polynomial("x^2 + 3")}, ("x",))
+>>> from repro.symalg.polynomial import Polynomial
+>>> x = Polynomial.variable("x")
+>>> kernel = lower_polynomials("sq", {"out": x**2 + 3}, ("x",))
 >>> for instr in kernel.instructions:
 ...     print(instr)
 t0 = mul x x

@@ -13,10 +13,11 @@ Emitted modules are dependency-free (``math.floor`` and ``struct``
 only) and human-readable: one line per IR instruction, all format
 parameters baked in.
 
->>> from repro.symalg.parser import parse_polynomial
+>>> from repro.symalg.polynomial import Polynomial
 >>> from repro.codegen.lower import lower_polynomials
 >>> from repro.codegen.fixedpt import parse_format
->>> kernel = lower_polynomials("sq", {"out": parse_polynomial("x^2 + 3")}, ("x",))
+>>> x = Polynomial.variable("x")
+>>> kernel = lower_polynomials("sq", {"out": x**2 + 3}, ("x",))
 >>> compiled = compile_kernel(kernel, parse_format("q5.26"), parse_format("q5.26"))
 >>> compiled.run({"x": 1.5})
 {'out': 5.25}

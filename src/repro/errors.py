@@ -15,10 +15,6 @@ class SymbolicError(ReproError):
     """Error inside the symbolic algebra engine (``repro.symalg``)."""
 
 
-class ParseError(SymbolicError):
-    """Malformed expression text handed to the expression parser."""
-
-
 class DivisionError(SymbolicError):
     """Invalid polynomial division request (e.g. division by zero)."""
 

@@ -24,12 +24,13 @@ transformations by construction:
   (of the scalars the arms bind: a ``return`` or an array element
   store inside an arm raises);
 * a call to a known nonlinear function is expanded where it is made:
-  its Taylor/Chebyshev approximation (a polynomial in ``_arg``) is
-  composed with the argument — **model expansion**.
+  its Taylor approximation (a polynomial in ``_arg``) is composed with
+  the argument — **model expansion**.
 
 Supported subset: function defs with scalar/array parameters, (aug-)
 assignments, tuple-free ``for _ in range(const...)``, constant or
-symbolic ``if``, ``return`` of an expression/tuple/list, ``+ - * /
+symbolic ``if``, ``return`` of an expression/tuple/list (from a loop
+or a constant ``if`` too, which ends the function), ``+ - * /
 **`` arithmetic, indexing with compile-time-constant indices, and
 calls to whitelisted math functions.  Everything else raises
 :class:`~repro.errors.FrontendError` with a pointed message — target
@@ -156,10 +157,19 @@ class _Interpreter(ast.NodeVisitor):
 
     # -- statements ----------------------------------------------------
     def execute(self, statements: Sequence[ast.stmt]) -> None:
-        for statement in statements:
-            if self.returned is not None:
-                raise FrontendError("unreachable code after return")
+        """Run ``statements`` until one returns.
+
+        A ``return`` ends every enclosing block and loop: this block
+        stops, and each caller (a loop, a constant-folded ``if``) sees
+        ``returned`` and stops too.  A statement written directly after
+        a ``return`` in the same block is dead code, and is rejected.
+        """
+        for index, statement in enumerate(statements):
             self.visit(statement)
+            if self.returned is not None:
+                if isinstance(statement, ast.Return) and index + 1 < len(statements):
+                    raise FrontendError("unreachable code after return")
+                return
 
     def visit_Assign(self, node: ast.Assign) -> None:
         if len(node.targets) != 1:
@@ -182,6 +192,8 @@ class _Interpreter(ast.NodeVisitor):
         for i in bounds:                       # loop unrolling
             self.env[node.target.id] = i
             self.execute(node.body)
+            if self.returned is not None:
+                return
 
     def visit_If(self, node: ast.If) -> None:
         condition = self.eval(node.test)

@@ -10,18 +10,13 @@ from repro.library.builtin import (full_library, inhouse_library,
                                    ipp_library, linux_math_library,
                                    reference_library)
 from repro.library.catalog import Library
-from repro.library.characterize import (CharacterizationTable,
-                                        CharacterizedElement, characterize,
-                                        characterize_library,
-                                        format_platform_cost_labels,
-                                        platform_cost_labels)
+from repro.library.characterize import (CharacterizedElement, characterize,
+                                        characterize_library)
 from repro.library.element import LibraryElement, formal_inputs
 
 __all__ = [
     "LibraryElement", "formal_inputs", "Library",
     "characterize", "characterize_library", "CharacterizedElement",
-    "CharacterizationTable", "platform_cost_labels",
-    "format_platform_cost_labels",
     "linux_math_library", "inhouse_library", "ipp_library",
     "reference_library", "full_library",
 ]

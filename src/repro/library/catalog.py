@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from repro.errors import LibraryError
 from repro.library.element import LibraryElement
@@ -41,31 +41,6 @@ class Library:
         if name not in self._elements:
             raise LibraryError(f"no element named {name!r} in library {self.name}")
         return self._elements[name]
-
-    def from_library(self, tag: str) -> list[LibraryElement]:
-        """All elements belonging to a library tag (LM/IH/IPP/REF)."""
-        return [e for e in self if e.library == tag]
-
-    def select(self, predicate: Callable[[LibraryElement], bool]) -> list[LibraryElement]:
-        """Filtered elements."""
-        return [e for e in self if predicate(e)]
-
-    def with_signature(self, arity: int | None = None,
-                       n_outputs: int | None = None,
-                       max_degree: int | None = None) -> list[LibraryElement]:
-        """Signature search used by the mapper to shortlist candidates."""
-        out = []
-        for element in self:
-            if arity is not None and element.arity != arity:
-                continue
-            if n_outputs is not None and element.n_outputs != n_outputs:
-                continue
-            if max_degree is not None:
-                degree = max(p.total_degree() for p in element.polynomials)
-                if degree > max_degree:
-                    continue
-            out.append(element)
-        return out
 
     def implementations_of(self, function: str) -> list[LibraryElement]:
         """Elements whose name advertises ``function`` (e.g. all four logs)."""

@@ -1,24 +1,20 @@
 """Library characterization harness (Section 3.1).
 
 Prices every element's per-call tally on a platform (performance via
-the cycle model, energy via the energy model) and, when the element
-ships a kernel, measures its accuracy against exact math — producing
-the rows of the paper's Table 1.
+the cycle model, energy via the energy model) — the performance and
+energy columns of the paper's Table 1.  Accuracy is the element's
+declared label; nothing here measures it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.library.catalog import Library
 from repro.library.element import LibraryElement
 from repro.platform.badge4 import Badge4
-from repro.platform.registry import DEFAULT_REGISTRY
 
-__all__ = ["CharacterizedElement", "characterize", "characterize_library",
-           "CharacterizationTable", "platform_cost_labels",
-           "format_platform_cost_labels"]
+__all__ = ["CharacterizedElement", "characterize", "characterize_library"]
 
 
 @dataclass(frozen=True)
@@ -55,60 +51,3 @@ def characterize_library(library: Library,
     """Characterize every element; keyed by element name."""
     platform = platform or Badge4()
     return {e.name: characterize(e, platform) for e in library}
-
-
-def platform_cost_labels(library: Library,
-                         platforms: "Sequence[str | Badge4] | None" = None
-                         ) -> dict[str, dict[str, CharacterizedElement]]:
-    """Characterize every element on every platform: the sweep's Table 1.
-
-    The paper labels each element with its performance/energy on *the*
-    target; the multi-platform registry makes that label a row per
-    target instead.  ``platforms`` accepts registry keys and/or live
-    platform objects (default: every registered processor); the result
-    is ``labels[element_name][platform_key]`` →
-    :class:`CharacterizedElement`.
-    """
-    resolved = DEFAULT_REGISTRY.resolve(platforms)
-    labels: dict[str, dict[str, CharacterizedElement]] = {}
-    for element in library:
-        labels[element.name] = {key: characterize(element, platform)
-                                for key, platform in resolved}
-    return labels
-
-
-def format_platform_cost_labels(
-        labels: dict[str, dict[str, CharacterizedElement]]) -> str:
-    """Render per-platform cost labels as one row per (element, platform)."""
-    lines = [f"{'Element':<30} {'Platform':<12} {'Cycles':>14} "
-             f"{'Energy (J)':>12} {'Accuracy':>10}"]
-    for name in sorted(labels):
-        for key, ch in labels[name].items():
-            lines.append(f"{name:<30} {key:<12} {ch.cycles_per_call:>14,.0f} "
-                         f"{ch.energy_per_call_j:>12.3e} "
-                         f"{ch.element.accuracy:>10.1e}")
-    return "\n".join(lines)
-
-
-class CharacterizationTable:
-    """Renders groups of characterized elements like the paper's Table 1."""
-
-    def __init__(self, characterized: dict[str, CharacterizedElement]):
-        self.characterized = characterized
-
-    def rows(self, names: list[str], baseline: str) -> list[tuple[str, float, float]]:
-        """(name, seconds, ratio-vs-baseline) rows; baseline ratio is 1."""
-        base = self.characterized[baseline].seconds_per_call
-        out = []
-        for name in names:
-            seconds = self.characterized[name].seconds_per_call
-            out.append((name, seconds, base / seconds if seconds else float("inf")))
-        return out
-
-    def format(self, groups: dict[str, tuple[list[str], str]]) -> str:
-        """Render ``{title: (names, baseline)}`` groups as a table."""
-        lines = ["Library Element                    Exec time (s)    Ratio"]
-        for title, (names, baseline) in groups.items():
-            for name, seconds, ratio in self.rows(names, baseline):
-                lines.append(f"  {name:<34} {seconds:>11.6f}  {ratio:>7.0f}")
-        return "\n".join(lines)

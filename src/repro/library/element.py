@@ -52,8 +52,9 @@ class LibraryElement:
         Per-call operation tally (prices to seconds/Joules on a
         platform via characterization).
     kernel:
-        Optional executable implementation used by the
-        characterization harness and the rewriter.
+        Optional executable implementation.  Nothing in the package
+        executes it: ``accuracy`` is the declared label, not measured
+        from the kernel.
     """
 
     name: str
@@ -104,11 +105,10 @@ class LibraryElement:
         The builtin catalogs attach module-level kernels, which pickle
         by reference; ad-hoc elements may carry lambdas or closures,
         which cannot cross a process or disk boundary.  Those kernels
-        are replaced by ``None`` — matching and decomposition never
-        execute a kernel (it is excluded from the element fingerprint),
-        so mapping results are identical either way.  Only the
-        characterization harness and the rewriter's simulation path
-        would notice, and they run in the parent process.
+        are replaced by ``None`` — nothing in the package executes a
+        kernel (it is excluded from the element fingerprint), so
+        mapping results are identical either way; only a caller reading
+        ``kernel`` off an unpickled element would notice.
         """
         state = {f.name: getattr(self, f.name) for f in fields(self)}
         kernel = state["kernel"]

@@ -2,7 +2,7 @@
 
 Branch-and-bound decomposition of target polynomials into complex
 library elements via simplification modulo side relations, candidate
-generation by symbolic manipulation, block matching for multi-output
+ordering by the target's structural hints, block matching for multi-output
 elements, code rewriting, and the full three-step methodology driver.
 
 :func:`decompose` is the plain Table-2 search.  Memoized mapping — an
@@ -26,11 +26,7 @@ from repro.mapping.cache import (
     fingerprint_platform,
     shared_cache_stats,
 )
-from repro.mapping.candidates import (
-    CandidateForm,
-    all_manipulations,
-    structural_hints,
-)
+from repro.mapping.candidates import structural_hints
 from repro.mapping.decompose import (
     DecomposeResult,
     MappingSolution,
@@ -66,8 +62,6 @@ __all__ = [
     "BlockMatch",
     "enumerate_instantiations",
     "match_block",
-    "CandidateForm",
-    "all_manipulations",
     "structural_hints",
     "decompose",
     "MappingSolution",

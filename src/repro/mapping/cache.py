@@ -29,10 +29,10 @@ objects.  This module supplies the missing pieces:
   :class:`~repro.api.SessionConfig`, which is how two sessions with
   different cache directories coexist in one process with fully
   isolated statistics.
-* **Shared memo caches** — the instantiation/manipulation/hint caches
-  hold platform-independent derivations keyed by exact inputs, so every
-  session shares them; :func:`shared_cache_stats` and
-  :func:`clear_shared_caches` are their one process-wide surface.
+* **Shared memo caches** — the instantiation cache holds
+  platform-independent derivations keyed by exact inputs, so every
+  session shares it; :func:`shared_cache_stats` and
+  :func:`clear_shared_caches` are its one process-wide surface.
 
 A cache directory holds one sqlite file, ``mapping_cache.sqlite``.
 Disk keys cannot use Python ``hash`` (randomized per process); they
@@ -637,13 +637,8 @@ class CacheTiers:
 #: Candidate bindings per (element, target) pair — the innermost loop
 #: of the Decompose search (:mod:`repro.mapping.match`).
 INSTANTIATIONS_CACHE = LRUCache(maxsize=8192, name="instantiations")
-#: Manipulation forms and structural hints per target polynomial
-#: (:mod:`repro.mapping.candidates`); polynomials are immutable and
-#: hashable, so they key their own results directly.
-MANIPULATIONS_CACHE = LRUCache(maxsize=1024, name="all_manipulations")
-HINTS_CACHE = LRUCache(maxsize=1024, name="structural_hints")
 
-_SHARED_CACHES = (INSTANTIATIONS_CACHE, MANIPULATIONS_CACHE, HINTS_CACHE)
+_SHARED_CACHES = (INSTANTIATIONS_CACHE,)
 
 
 def shared_cache_stats() -> dict[str, dict]:

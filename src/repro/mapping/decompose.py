@@ -4,7 +4,11 @@
 elements:
 
 * the *solution tree* holds partially simplified forms; the root is the
-  target (after ``AllManipulations`` seeding);
+  target;
+* the target's structural hints (:func:`~repro.mapping.candidates.structural_hints`:
+  its factors and Horner coefficient groups) are this reproduction's
+  ``AllManipulations`` guidance: side relations equal to a hint are
+  tried first;
 * each edge applies one side relation — an instantiated library element
   — via ``simplify`` modulo the side-relation ideal (Groebner normal
   form with the program variables outranking the element-output
@@ -204,8 +208,10 @@ def decompose(
     target).
 
     ``use_hints`` / ``use_bounding`` exist for ablation: they disable
-    the manipulation-guided candidate ordering and the branch-and-bound
-    cost pruning respectively (both on in the paper's algorithm).
+    the hint-guided candidate ordering (the structural hints stand in
+    for the paper's ``AllManipulations`` guidance) and the
+    branch-and-bound cost pruning respectively (both on in the paper's
+    algorithm).
 
     This function is the plain search and caches nothing; the memoized
     form (in-process LRU plus the optional disk tier, so repeated and
@@ -370,8 +376,9 @@ def _candidate_instantiations(
 
     Ranking implements the paper's guidance: relations whose bound
     polynomial *is* the node (exact cover) come first, then relations
-    matching a structural hint from ``AllManipulations``, then the rest
-    by ascending element cost.
+    matching one of the target's structural hints (this reproduction's
+    ``AllManipulations`` guidance), then the rest by ascending element
+    cost.
     """
     remaining = set(poly.variables) & program_vars
     if not remaining:

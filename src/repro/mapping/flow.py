@@ -40,7 +40,7 @@ from repro.library.builtin import (
 from repro.library.catalog import Library
 from repro.mapping.batch import BatchItem, BatchStats, run_batch
 from repro.mapping.cache import CacheTiers
-from repro.mapping.pareto import BlockParetoResult, ParetoPoint
+from repro.mapping.pareto import BlockParetoResult
 from repro.mp3.compliance import ComplianceReport, check_compliance
 from repro.mp3.decoder import DecoderConfig, Mp3Decoder
 from repro.mp3.synth_stream import EncodedStream
@@ -152,19 +152,6 @@ class SweepReport:
     #: only — explicit ``blocks`` overrides still sweep whatever was
     #: passed, under the flow's workload label).
     workload: str = DEFAULT_WORKLOAD
-
-    def entry(self, platform: str, block: str, library: str) -> SweepEntry:
-        """The cell for one (platform, block, library) coordinate."""
-        for e in self.entries:
-            if (e.platform, e.block, e.library) == (platform, block, library):
-                return e
-        raise KeyError((platform, block, library))
-
-    def front(
-        self, platform: str, block: str, library: str
-    ) -> tuple[ParetoPoint, ...]:
-        """The Pareto front at one coordinate."""
-        return self.entry(platform, block, library).result.front
 
     def winners(self, platform: str) -> dict[tuple[str, str], str | None]:
         """Cycles-projection winners on one platform, keyed (block, library)."""

@@ -177,7 +177,7 @@ def score_element(element: LibraryElement, platform: Badge4) -> Objectives:
 
     Delegates to the characterization harness — the one pricing
     convention in the codebase — so Pareto scores can never drift from
-    the tables :func:`repro.library.platform_cost_labels` reports.
+    what :func:`repro.library.characterize` reports.
     """
     from repro.library.characterize import characterize
 

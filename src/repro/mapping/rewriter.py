@@ -16,7 +16,6 @@ from typing import Callable, Mapping
 
 from repro.errors import MappingError
 from repro.mapping.decompose import MappingSolution
-from repro.platform.tally import OperationTally
 from repro.symalg.expression import to_source
 from repro.symalg.horner import horner
 
@@ -54,24 +53,9 @@ class MappedProgram:
                 values[symbol] = step.bound_polynomial().evaluate(env)
         return self.solution.residual.evaluate(values)
 
-    def cost_tally(self) -> OperationTally:
-        """Total per-call tally: element costs + residual Horner ops."""
-        total = OperationTally()
-        for step in self.solution.steps:
-            total.merge(step.element.cost)
-        count = horner(self.solution.residual).op_count()
-        total.fp_add += count.adds
-        total.fp_mul += count.muls
-        total.fp_div += count.divs
-        total.call += count.calls
-        return total
-
 
 def rewrite(solution: MappingSolution, name: str = "mapped") -> MappedProgram:
-    """Emit source for a mapping solution.
-
-    >>> # doctest-style sketch; see tests/mapping/test_rewriter.py
-    """
+    """Emit source for a mapping solution."""
     inputs = _program_inputs(solution)
     lines = [f"def {name}({', '.join(inputs)}):"]
     if not solution.steps and solution.residual.is_zero():

@@ -20,7 +20,7 @@ from repro.mp3.bitstream import BitReader, BitWriter
 from repro.platform.tally import OperationTally
 
 __all__ = ["HuffmanTable", "PAIR_TABLE", "LINBITS", "MAX_SMALL",
-           "encode_spectrum", "decode_spectrum", "cost_decode_spectrum"]
+           "encode_spectrum", "decode_spectrum"]
 
 #: Largest magnitude coded directly; 15 is the escape marker (as in ISO tables 16-31).
 MAX_SMALL = 15
@@ -214,20 +214,3 @@ def decode_spectrum(reader: BitReader, count: int,
         tally.store += count
         tally.call += 1
     return out
-
-
-def cost_decode_spectrum(count: int,
-                         mean_bits: float | None = None) -> OperationTally:
-    """Analytic tally for decoding ``count`` values (for characterization)."""
-    if mean_bits is None:
-        mean_bits = PAIR_TABLE.mean_code_length
-    pairs = count // 2
-    bits = int(pairs * mean_bits)
-    t = OperationTally()
-    t.load = bits + count
-    t.shift = bits
-    t.int_alu = 2 * bits + 4 * pairs
-    t.branch = bits + count
-    t.store = count
-    t.call = 1
-    return t

@@ -141,9 +141,9 @@ class ProcessorRegistry:
 
         ``platforms`` may hold registry keys (strings) and/or live
         platform objects; ``None`` selects every registered target in
-        registration order.  This is the single resolution point the
-        multi-platform entry points (``MethodologyFlow.sweep``,
-        ``platform_cost_labels``) share, so their labeling can't drift.
+        registration order.  This is the single resolution point of the
+        multi-platform entry point (``MethodologyFlow.sweep``), so a
+        sweep's labeling can't drift from the registry's.
         """
         if platforms is None:
             return [(key, entry.platform()) for key, entry in

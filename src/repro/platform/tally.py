@@ -92,16 +92,3 @@ class OperationTally:
         out = self.copy()
         out.merge(other)
         return out
-
-    def breakdown(self) -> dict[str, int]:
-        """Counts as a flat ``{name: count}`` dict (libm prefixed)."""
-        out: dict[str, int] = {}
-        for f in fields(self):
-            if f.name == "libm_calls":
-                continue
-            value = getattr(self, f.name)
-            if value:
-                out[f.name] = value
-        for name, count in sorted(self.libm_calls.items()):
-            out[f"libm:{name}"] = count
-        return out

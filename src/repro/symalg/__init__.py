@@ -3,7 +3,7 @@
 This package plays the role Maple V played in the paper: sparse exact
 multivariate polynomials, term orders, multivariate division, Groebner
 bases, simplification modulo side relations, Horner forms,
-factorization, series approximation, and expression trees.
+factorization, Taylor approximation, and expression trees.
 
 Quick tour:
 
@@ -18,32 +18,25 @@ from repro.symalg.division import DivisionResult, divide, exact_divide, reduce
 from repro.symalg.expression import (Add, Call, Const, Expression, Mul,
                                      OpCount, Pow, Var, const, flatten,
                                      to_source, var)
-from repro.symalg.factor import Factorization, factor, square_free_decomposition
-from repro.symalg.gcdtools import polynomial_gcd, polynomial_lcm
+from repro.symalg.factor import Factorization, factor
+from repro.symalg.gcdtools import polynomial_gcd
 from repro.symalg.groebner import groebner_basis, is_groebner_basis, s_polynomial
 from repro.symalg.horner import horner, horner_op_count
-from repro.symalg.ideal import (SideRelation, eliminate, ideal_membership,
-                                normal_form, simplify_modulo)
+from repro.symalg.ideal import SideRelation, simplify_modulo
 from repro.symalg.ordering import GREVLEX, GRLEX, LEX, TermOrder
-from repro.symalg.parser import parse_expression, parse_polynomial
 from repro.symalg.polynomial import Polynomial, symbols
-from repro.symalg.series import (SUPPORTED_TAYLOR, approximation_error,
-                                 chebyshev_fit, taylor)
-from repro.symalg.treeheight import reduce_tree_height
+from repro.symalg.series import SUPPORTED_TAYLOR, taylor
 
 __all__ = [
     "Polynomial", "symbols",
     "TermOrder", "LEX", "GRLEX", "GREVLEX",
     "divide", "reduce", "exact_divide", "DivisionResult",
     "groebner_basis", "is_groebner_basis", "s_polynomial",
-    "SideRelation", "simplify_modulo", "normal_form", "ideal_membership",
-    "eliminate",
-    "polynomial_gcd", "polynomial_lcm",
-    "factor", "square_free_decomposition", "Factorization",
+    "SideRelation", "simplify_modulo",
+    "polynomial_gcd",
+    "factor", "Factorization",
     "horner", "horner_op_count",
-    "taylor", "chebyshev_fit", "approximation_error", "SUPPORTED_TAYLOR",
+    "taylor", "SUPPORTED_TAYLOR",
     "Expression", "Const", "Var", "Add", "Mul", "Pow", "Call", "OpCount",
     "const", "var", "flatten", "to_source",
-    "parse_expression", "parse_polynomial",
-    "reduce_tree_height",
 ]

@@ -9,17 +9,16 @@ The symbolic engine has two representations:
   and emitted back as source.
 
 The frontend computes straight into polynomials; expressions appear
-where code is scheduled, written or parsed.  Horner and tree-height
-reduction return new expressions whose operation counts feed the
-platform cost model and which the code rewriter and the lowering
-emit; the parser builds them from text; ``to_polynomial``
+where code is scheduled or written.  Horner scheduling returns
+expressions whose operation counts feed the platform cost model and
+which the code rewriter and the lowering emit; ``to_polynomial``
 canonicalizes any of them back to a polynomial.
 
 Nonlinear calls (``exp``, ``log``...) appear as :class:`Call` nodes,
 which evaluate through a caller-supplied function table but have no
 polynomial form: ``to_polynomial`` rejects them.  The paper's
-Taylor/Chebyshev step is the frontend's model expansion, which
-substitutes the approximation at the call site.
+series-approximation step is the frontend's model expansion, which
+substitutes a Taylor polynomial at the call site.
 """
 
 from __future__ import annotations
@@ -75,24 +74,6 @@ class Expression:
     def op_count(self) -> OpCount:
         """Count arithmetic operations as written (no re-association)."""
         raise NotImplementedError
-
-    def depth(self) -> int:
-        """Height of the tree (a leaf has depth 0)."""
-        kids = self.children()
-        if not kids:
-            return 0
-        return 1 + max(child.depth() for child in kids)
-
-    def free_variables(self) -> frozenset[str]:
-        """All variable names appearing in the tree."""
-        out: set[str] = set()
-        stack: list[Expression] = [self]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Var):
-                out.add(node.name)
-            stack.extend(node.children())
-        return frozenset(out)
 
     # Operator sugar so expressions compose naturally.
     def __add__(self, other): return Add((self, _as_expr(other)))

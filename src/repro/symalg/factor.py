@@ -31,7 +31,7 @@ from repro.symalg.gcdtools import content_in, polynomial_gcd
 from repro.symalg.ordering import TermOrder
 from repro.symalg.polynomial import Polynomial
 
-__all__ = ["Factorization", "factor", "square_free_decomposition"]
+__all__ = ["Factorization", "factor"]
 
 _LEX = TermOrder("lex")
 
@@ -71,9 +71,8 @@ class Factorization:
 def factor(poly: Polynomial) -> Factorization:
     """Factor ``poly`` over the rationals (see module docstring for scope).
 
-    >>> from repro.symalg.parser import parse_polynomial
-    >>> p = parse_polynomial("x^16 + x^17 + x^2")
-    >>> str(factor(p))
+    >>> x = Polynomial.variable("x")
+    >>> str(factor(x**16 + x**17 + x**2))
     '(x)^2 * (x^15 + x^14 + 1)'
     """
     if poly.is_zero():
@@ -98,18 +97,6 @@ def factor(poly: Polynomial) -> Factorization:
 
     factors = _merge(factors)
     return Factorization(unit, factors)
-
-
-def square_free_decomposition(poly: Polynomial) -> list[tuple[Polynomial, int]]:
-    """Yun's algorithm: ``poly = prod(a_i ^ i)`` with each ``a_i`` square-free.
-
-    Multivariate inputs are handled by decomposing w.r.t. each variable
-    in turn.  The product of the result (times the content) equals the
-    input's primitive part.
-    """
-    if poly.is_zero() or poly.is_constant():
-        return []
-    return _factor_squarefree_tower(poly.primitive_part())
 
 
 def _factor_squarefree_tower(poly: Polynomial) -> list[tuple[Polynomial, int]]:

@@ -27,7 +27,7 @@ from repro.symalg.division import exact_divide
 from repro.symalg.ordering import TermOrder
 from repro.symalg.polynomial import Polynomial
 
-__all__ = ["polynomial_gcd", "polynomial_lcm", "content_in", "primitive_in",
+__all__ = ["polynomial_gcd", "content_in", "primitive_in",
            "pseudo_remainder", "clear_gcd_caches"]
 
 _LEX = TermOrder("lex")
@@ -164,14 +164,6 @@ def _cached_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     if result.is_constant():
         result = Polynomial.one()
     return _normalize(result * cont_gcd) * rational_content
-
-
-def polynomial_lcm(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Least common multiple: ``a*b / gcd(a, b)`` (zero if either is zero)."""
-    if a.is_zero() or b.is_zero():
-        return Polynomial.zero()
-    g = polynomial_gcd(a, b)
-    return _normalize(exact_divide(a * b, g, _LEX))
 
 
 def _normalize(poly: Polynomial) -> Polynomial:

@@ -45,8 +45,8 @@ def horner(poly: Polynomial, variable_order: Sequence[str] | None = None
     are appended sorted by name.  The returned expression evaluates to
     the same function as ``poly``.
 
-    >>> from repro.symalg.parser import parse_polynomial
-    >>> s = parse_polynomial("y^2*x + y*x^2 + 4*x*y + x^2 + 2*x")
+    >>> x, y = Polynomial.variable("x"), Polynomial.variable("y")
+    >>> s = y**2*x + y*x**2 + 4*x*y + x**2 + 2*x
     >>> str(horner(s, ["x", "y"]))
     '((y + 1) * x + (y + 4) * y + 2) * x'
 

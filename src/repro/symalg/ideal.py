@@ -1,5 +1,4 @@
-"""Ideal operations: simplification modulo side relations, membership,
-variable elimination.
+"""Ideal operations: simplification modulo side relations.
 
 ``simplify_modulo`` reproduces the Maple call the paper builds its
 mapping algorithm around::
@@ -32,8 +31,7 @@ from repro.symalg.groebner import (DEFAULT_MAX_BASIS,
 from repro.symalg.ordering import TermOrder
 from repro.symalg.polynomial import Polynomial
 
-__all__ = ["SideRelation", "simplify_modulo", "ideal_membership",
-           "eliminate", "normal_form", "clear_ideal_caches"]
+__all__ = ["SideRelation", "simplify_modulo", "clear_ideal_caches"]
 
 
 @lru_cache(maxsize=1024)
@@ -161,46 +159,6 @@ def simplify_modulo(target: Polynomial,
         tuple(rel.generator() for rel in rel_list), order,
         max_basis, max_pairs)
     return nf_reduce(target, basis, order)
-
-
-def normal_form(poly: Polynomial, generators: Sequence[Polynomial],
-                order: TermOrder) -> Polynomial:
-    """Normal form of ``poly`` modulo the ideal of ``generators``.
-
-    Computes a Groebner basis first (memoized) so the result is
-    canonical.
-    """
-    basis = _cached_groebner_basis(tuple(generators), order,
-                                   DEFAULT_MAX_BASIS, DEFAULT_MAX_PAIRS)
-    return nf_reduce(poly, basis, order)
-
-
-def ideal_membership(poly: Polynomial, generators: Sequence[Polynomial],
-                     order: TermOrder | None = None) -> bool:
-    """True iff ``poly`` lies in the ideal generated by ``generators``."""
-    if poly.is_zero():
-        return True
-    if order is None:
-        order = TermOrder("grevlex")
-    return normal_form(poly, generators, order).is_zero()
-
-
-def eliminate(generators: Sequence[Polynomial],
-              drop: Sequence[str]) -> list[Polynomial]:
-    """Generators of the elimination ideal with ``drop`` variables removed.
-
-    Computes a lex Groebner basis with the dropped variables most
-    significant and keeps the elements free of them.
-    """
-    keep: set[str] = set()
-    for g in generators:
-        keep.update(g.variables)
-    keep -= set(drop)
-    precedence = tuple(drop) + tuple(sorted(keep))
-    order = TermOrder("lex", precedence)
-    basis = groebner_basis(generators, order)
-    dropped = set(drop)
-    return [g for g in basis if not dropped & set(g.variables)]
 
 
 def _as_relations(relations: Iterable[SideRelation] | Mapping[str, Polynomial]

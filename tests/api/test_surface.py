@@ -1,5 +1,6 @@
-"""Public-API snapshot: ``repro.api.__all__``, ``repro.workload.__all__``
-and the CLI inventory.
+"""Public-API snapshot: the ``__all__`` of ``repro.api``,
+``repro.workload``, ``repro.symalg``, ``repro.mapping`` and
+``repro.library``, and the CLI inventory.
 
 These are deliberate change detectors.  If a PR alters any of these
 surfaces, this file must be edited in the same PR — that is the point:
@@ -8,7 +9,12 @@ the public surface changes deliberately, never as a side effect.
 
 import argparse
 
+import pytest
+
 import repro.api
+import repro.library
+import repro.mapping
+import repro.symalg
 import repro.workload
 from repro.cli import build_parser
 
@@ -45,6 +51,96 @@ EXPECTED_WORKLOAD_API = [
     "register_workload",
     "registered_workloads",
     "workload_named",
+]
+
+#: The locked public API of ``repro.symalg``.
+EXPECTED_SYMALG_API = [
+    "Add",
+    "Call",
+    "Const",
+    "DivisionResult",
+    "Expression",
+    "Factorization",
+    "GREVLEX",
+    "GRLEX",
+    "LEX",
+    "Mul",
+    "OpCount",
+    "Polynomial",
+    "Pow",
+    "SUPPORTED_TAYLOR",
+    "SideRelation",
+    "TermOrder",
+    "Var",
+    "const",
+    "divide",
+    "exact_divide",
+    "factor",
+    "flatten",
+    "groebner_basis",
+    "horner",
+    "horner_op_count",
+    "is_groebner_basis",
+    "polynomial_gcd",
+    "reduce",
+    "s_polynomial",
+    "simplify_modulo",
+    "symbols",
+    "taylor",
+    "to_source",
+    "var",
+]
+
+#: The locked public API of ``repro.mapping``.
+EXPECTED_MAPPING_API = [
+    "BatchItem",
+    "BatchReport",
+    "BatchStats",
+    "BlockMatch",
+    "BlockParetoResult",
+    "CacheTiers",
+    "DecomposeResult",
+    "FlowReport",
+    "Instantiation",
+    "MappedProgram",
+    "MappingPass",
+    "MappingSolution",
+    "MethodologyFlow",
+    "Objectives",
+    "ParetoPoint",
+    "SweepEntry",
+    "SweepReport",
+    "clear_shared_caches",
+    "decompose",
+    "enumerate_instantiations",
+    "fingerprint_block",
+    "fingerprint_library",
+    "fingerprint_platform",
+    "match_block",
+    "methodology_blocks",
+    "pareto_front",
+    "residual_cost",
+    "rewrite",
+    "run_batch",
+    "score_element",
+    "score_match",
+    "shared_cache_stats",
+    "structural_hints",
+]
+
+#: The locked public API of ``repro.library``.
+EXPECTED_LIBRARY_API = [
+    "CharacterizedElement",
+    "Library",
+    "LibraryElement",
+    "characterize",
+    "characterize_library",
+    "formal_inputs",
+    "full_library",
+    "inhouse_library",
+    "ipp_library",
+    "linux_math_library",
+    "reference_library",
 ]
 
 #: The locked CLI surface: subcommand -> sorted positional/option names.
@@ -163,6 +259,17 @@ def test_workload_all_is_locked():
 def test_workload_all_names_resolve():
     for name in repro.workload.__all__:
         assert getattr(repro.workload, name) is not None
+
+
+@pytest.mark.parametrize("package,expected", [
+    (repro.symalg, EXPECTED_SYMALG_API),
+    (repro.mapping, EXPECTED_MAPPING_API),
+    (repro.library, EXPECTED_LIBRARY_API),
+], ids=["symalg", "mapping", "library"])
+def test_package_all_is_locked(package, expected):
+    assert sorted(package.__all__) == expected
+    for name in package.__all__:
+        assert getattr(package, name) is not None
 
 
 def test_cli_inventory_is_locked():

@@ -15,12 +15,14 @@ from repro.codegen.fixedpt import (
 from repro.codegen.lower import lower_polynomials
 from repro.errors import CodegenError
 from repro.fixedpoint import Q15, QFormat
-from repro.symalg.parser import parse_polynomial
+from repro.symalg import symbols
+
+x, = symbols("x")
 
 
 def _square_plus_three():
     return lower_polynomials(
-        "sq", {"out": parse_polynomial("x^2 + 3")}, ("x",))
+        "sq", {"out": x**2 + 3}, ("x",))
 
 
 class TestParseFormat:
@@ -92,7 +94,7 @@ class TestInterpretFixed:
 
     def test_output_conversion_rounds_excess_fraction(self):
         kernel = lower_polynomials(
-            "idy", {"out": parse_polynomial("x")}, ("x",))
+            "idy", {"out": x}, ("x",))
         q5_26, s16 = parse_format("q5.26"), parse_format("s16")
         raw, = interpret_raw(kernel, q5_26.qformat, s16.qformat, [1 << 11])
         # 2^11 raw in Q5.26 is 2^-15: exactly one Q0.15 LSB.
@@ -100,7 +102,7 @@ class TestInterpretFixed:
 
     def test_saturation_on_overflowing_product(self):
         kernel = lower_polynomials(
-            "sq", {"out": parse_polynomial("x^2")}, ("x",))
+            "sq", {"out": x**2}, ("x",))
         q = parse_format("q2.4")
         got = interpret(kernel, q, q, {"x": 3.5})
         assert got["out"] == q.qformat.raw_max / q.qformat.scale

@@ -14,9 +14,11 @@ from repro.codegen.lower import (
 )
 from repro.errors import CodegenError
 from repro.library import full_library
+from repro.symalg import symbols
 from repro.symalg.expression import Call, Var
-from repro.symalg.parser import parse_polynomial
 from repro.workload import workload_named
+
+x, y = symbols("x y")
 
 
 def _mapped(block_name="inv_mdctL"):
@@ -38,7 +40,7 @@ class TestInstr:
 class TestLowerPolynomials:
     def test_horner_square_plus_constant(self):
         kernel = lower_polynomials(
-            "sq", {"out": parse_polynomial("x^2 + 3")}, ("x",))
+            "sq", {"out": x**2 + 3}, ("x",))
         assert [str(i) for i in kernel.instructions] == [
             "t0 = mul x x",
             "t1 = const 3",
@@ -49,12 +51,12 @@ class TestLowerPolynomials:
 
     def test_identity_output_is_the_input_name(self):
         kernel = lower_polynomials(
-            "idy", {"out": parse_polynomial("x")}, ("x",))
+            "idy", {"out": x}, ("x",))
         assert kernel.instructions == ()
         assert kernel.outputs == (("out", "x"),)
 
     def test_cse_shares_identical_rows(self):
-        poly = parse_polynomial("x^2 + 1")
+        poly = x**2 + 1
         kernel = lower_polynomials(
             "twin", {"a": poly, "b": poly}, ("x",))
         # Both outputs resolve to the same value name: one computation.
@@ -63,25 +65,25 @@ class TestLowerPolynomials:
     def test_cse_shares_repeated_constants(self):
         kernel = lower_polynomials(
             "consts",
-            {"a": parse_polynomial("x + 5"), "b": parse_polynomial("y + 5")},
+            {"a": x + 5, "b": y + 5},
             ("x", "y"))
         assert kernel.op_counts()["const"] == 1
 
     def test_op_counts(self):
         kernel = lower_polynomials(
-            "sq", {"out": parse_polynomial("x^2 + 3")}, ("x",))
+            "sq", {"out": x**2 + 3}, ("x",))
         assert kernel.op_counts() == {"const": 1, "add": 1, "mul": 1}
 
     def test_str_renders_kernel(self):
         kernel = lower_polynomials(
-            "sq", {"out": parse_polynomial("x^2 + 3")}, ("x",))
+            "sq", {"out": x**2 + 3}, ("x",))
         text = str(kernel)
         assert text.startswith("kernel sq(x):")
         assert "out <- t2" in text
 
     def test_deterministic_across_lowerings(self):
         mk = lambda: lower_polynomials(  # noqa: E731
-            "p", {"out": parse_polynomial("3*x^2*y + 2*x*y + y + 7")}, ("x", "y"))
+            "p", {"out": 3*x**2*y + 2*x*y + y + 7}, ("x", "y"))
         assert str(mk()) == str(mk())
 
 

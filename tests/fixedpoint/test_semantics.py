@@ -139,10 +139,11 @@ class TestOverflowPolicies:
         from repro.codegen.lower import lower_polynomials
         from repro.codegen.pysource import emit_python
         from repro.errors import CodegenError
-        from repro.symalg.parser import parse_polynomial
+        from repro.symalg import Polynomial
 
+        x = Polynomial.variable("x")
         kernel = lower_polynomials(
-            "sq", {"out": parse_polynomial("x^2")}, ("x",))
+            "sq", {"out": x**2}, ("x",))
         fmt = NumericFormat("q3.4r", "fixed", QFormat(3, 4, "raise"))
         with pytest.raises(CodegenError, match="overflow='raise'"):
             emit_python(kernel, fmt, fmt)

@@ -87,6 +87,36 @@ def f(a):
 """, [SymbolicInput("x")])
         assert block.polynomial() == x / 2
 
+    @pytest.mark.parametrize("expression, expected", [
+        ("+a", x),
+        ("- -a", x),
+        ("-2 * a", -2 * x),
+        ("-a ** 2", -(x ** 2)),
+        ("a / (2 * 2)", x / 4),
+        ("a / 0.5", 2 * x),
+        ("True * a", x),
+        ("7 // 2 * a", 3 * x),
+        ("7 % 4 * a", 3 * x),
+        ("2 ** 3 * a", 8 * x),
+        ("a ** 0 + b", y + 1),
+        ("(a + b) ** 2 - a * a - b * b", 2 * x * y),
+    ], ids=["unary_plus", "double_negation", "negated_constant",
+            "minus_binds_looser_than_power", "folded_divisor", "float_divisor",
+            "bool_constant", "floor_division_folds", "modulo_folds",
+            "constant_power_folds", "zeroth_power", "cancellation"])
+    def test_expression_extracts_to(self, expression, expected):
+        block = extract(f"def f(a, b):\n    return {expression}\n",
+                        [SymbolicInput("x"), SymbolicInput("y")])
+        assert block.polynomial() == expected
+
+    def test_pass_is_a_no_op(self):
+        block = extract("""
+def f(a):
+    pass
+    return a
+""", [SymbolicInput("x")])
+        assert block.polynomial() == x
+
 
 class TestLoops:
     def test_loop_unrolling(self):
@@ -119,6 +149,38 @@ def f(a):
     return acc
 """, [SymbolicInput("x")])
         assert block.polynomial() == (1 + 5 + 9) * x
+
+    def test_return_inside_a_loop_ends_it(self):
+        block = extract("""
+def f(a):
+    for i in range(3):
+        if i == 1:
+            return a * 5
+    return a
+""", [SymbolicInput("x")])
+        assert block.polynomial() == 5 * x
+
+    def test_return_inside_a_nested_loop_ends_both(self):
+        block = extract("""
+def f(a):
+    for i in range(3):
+        for j in range(2):
+            if i == 1:
+                return a * 5
+        a = a + 1
+    return a
+""", [SymbolicInput("x")])
+        assert block.polynomial() == 5 * x + 5
+
+    def test_statement_after_return_in_a_loop_body_raises(self):
+        with pytest.raises(FrontendError, match="unreachable code after return"):
+            extract("""
+def f(a):
+    for i in range(3):
+        return a
+        a = a + 1
+    return a
+""", [SymbolicInput("x")])
 
     def test_loop_over_symbolic_bound_rejected(self):
         with pytest.raises(FrontendError):
@@ -186,6 +248,14 @@ def f(a):
 """, [SymbolicInput("x")])
         assert block.outputs["out0"] == x
         assert block.outputs["out1"] == x ** 2
+
+    def test_whole_array_returned_as_outputs(self):
+        block = extract("""
+def f(v):
+    return v
+""", [ArrayInput("v", (2,))])
+        assert block.outputs == {"out0": Polynomial.variable("v_0"),
+                                 "out1": Polynomial.variable("v_1")}
 
 
 class TestConditionals:
@@ -294,6 +364,15 @@ def f(a):
 """, [SymbolicInput("x")], approximations={"exp": taylor("exp", 2)})
         assert block.polynomial() == 2 * x ** 2 + 2 * x + 1
 
+    def test_nested_calls_compose(self):
+        block = extract("""
+def f(a):
+    return exp(sin(a))
+""", [SymbolicInput("x")],
+            approximations={"exp": taylor("exp", 2), "sin": taylor("sin", 3)})
+        sin_x = x - x ** 3 / 6
+        assert block.polynomial() == 1 + sin_x + sin_x ** 2 / 2
+
     def test_approximation_must_be_in_arg(self):
         with pytest.raises(FrontendError, match="'_arg'"):
             extract("""
@@ -339,6 +418,92 @@ def f(a, b):
 def f(a):
     return a + ghost
 """, [SymbolicInput("x")])
+
+    def test_more_than_one_function_rejected(self):
+        with pytest.raises(FrontendError, match="exactly one function definition"):
+            extract("""
+def f(a):
+    return a
+
+def g(a):
+    return a
+""", [SymbolicInput("x")])
+
+    # Each unsupported construct is refused with a pointed message.
+    @pytest.mark.parametrize("expression, message", [
+        ("a ** -1", "nonnegative integers"),
+        ("a ** 0.5", "nonnegative integers"),
+        ("a ** b", "nonnegative integers"),
+        ("a / b", "division by a non-constant"),
+        ("a / 0", "division by zero"),
+        ("a / (3 - 3)", "division by zero"),
+        ("a % 2", "unsupported operator Mod on symbols"),
+        ("a // 2", "unsupported operator FloorDiv on symbols"),
+        ("a ^ 2", "unsupported operator BitXor on symbols"),
+        ("6 ^ 3", "unsupported operator BitXor"),
+        ("not a", "only unary"),
+        ("~a", "only unary"),
+        ("'text'", "unsupported constant"),
+        ("None", "unsupported constant"),
+        ("a if a else b", "unsupported expression IfExp"),
+        ("lambda: a", "unsupported expression Lambda"),
+        ("math.exp(a)", "only plain-name calls"),
+        ("range(3)", r"range\(\) only appears as a for-loop iterator"),
+        ("exp(a, b)", "model expansion supports unary calls"),
+        ("a < 1", "comparisons must fold to constants"),
+        ("1 < 2 < 3", "chained comparisons"),
+        ("1 in 2", "unsupported comparison operator"),
+        ("a[0]", "subscript of a non-array"),
+        ("[a, b][-1]", "out of range"),
+        ("[a, b][0.5]", "compile-time integer"),
+    ], ids=["negative_exponent", "fractional_exponent", "symbolic_exponent",
+            "division_by_variable", "division_by_zero",
+            "division_by_folded_zero", "modulo_on_symbols",
+            "floor_division_on_symbols", "caret_is_xor", "xor_on_constants",
+            "not", "invert", "string_constant", "none_constant",
+            "conditional_expression", "lambda", "attribute_call",
+            "range_as_value", "binary_call", "symbolic_comparison",
+            "chained_comparison", "membership_test", "subscript_of_scalar",
+            "negative_index", "fractional_index"])
+    def test_rejected_expression(self, expression, message):
+        with pytest.raises(FrontendError, match=message):
+            extract(f"def f(a, b):\n    return {expression}\n",
+                    [SymbolicInput("x"), SymbolicInput("y")],
+                    approximations={"exp": taylor("exp", 2)})
+
+    @pytest.mark.parametrize("statement, message", [
+        ("b = c = a", "chained assignment"),
+        ("b, c = a, a", "tuple unpacking"),
+        ("a.b = 1", "cannot assign to Attribute"),
+        ("a[0] = 1", "subscript assignment needs an array"),
+        ("a += [1]", "arrays cannot be used as scalar values"),
+        ("a + 1", "bare expression"),
+        ("return", "return must carry a value"),
+        ("import math", "unsupported construct Import"),
+        ("del a", "unsupported construct Delete"),
+        ("assert a", "unsupported construct Assert"),
+        ("with a:\n        pass", "unsupported construct With"),
+        ("for i in [1, 2]:\n        a = a", r"iterate over range\(\.\.\.\)"),
+        ("for i in range():\n        a = a", "range takes 1-3 arguments"),
+        ("for i in range(1, 2, 3, 4):\n        a = a", "range takes 1-3 arguments"),
+        ("for i in range(2.5):\n        a = a", "compile-time integer"),
+        ("for (i, j) in range(2):\n        a = a", "loop target must be a simple name"),
+        ("for i in range(2):\n        a = a\n    else:\n        a = b",
+         "for/else"),
+        ("if b:\n        t = a", "'t' defined as a scalar in both arms"),
+        ("if b:\n        t = [a]\n    else:\n        t = [b]",
+         "'t' defined as a scalar in both arms"),
+    ], ids=["chained_assignment", "tuple_unpacking", "attribute_store",
+            "store_into_scalar", "array_added_to_scalar", "bare_expression",
+            "bare_return", "import", "delete", "assert", "with",
+            "loop_over_a_list", "range_without_arguments",
+            "range_with_four_arguments", "fractional_range_bound",
+            "tuple_loop_target", "for_else", "one_armed_symbolic_if",
+            "array_blended_by_a_symbolic_if"])
+    def test_rejected_statement(self, statement, message):
+        with pytest.raises(FrontendError, match=message):
+            extract(f"def f(a, b):\n    {statement}\n    return a\n",
+                    [SymbolicInput("x"), SymbolicInput("y")])
 
     def test_interactive_callable_hint(self):
         def local(a):

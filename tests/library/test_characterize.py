@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.library import (CharacterizationTable,
-                           characterize_library, full_library)
+from repro.library import characterize_library, full_library
 from repro.platform import Badge4
 
 
@@ -67,11 +66,3 @@ class TestTable1Shape:
         b = characterized["fx_log_bitwise"].seconds_per_call
         p = characterized["fx_log_poly"].seconds_per_call
         assert d > f > b > p
-
-    def test_format_renders_ratio_column(self, characterized):
-        table = CharacterizationTable(characterized)
-        text = table.format({
-            "sub": (["float_SubBandSyn", "fixed_SubBandSyn"],
-                    "float_SubBandSyn")})
-        assert "float_SubBandSyn" in text
-        assert "Ratio" in text

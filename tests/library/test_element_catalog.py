@@ -78,16 +78,6 @@ class TestCatalog:
         with pytest.raises(LibraryError):
             Library("t").get("ghost")
 
-    def test_from_library(self):
-        lib = Library("t", [scalar_element("a", "IH"),
-                            scalar_element("b", "IPP")])
-        assert [e.name for e in lib.from_library("IPP")] == ["b"]
-
-    def test_signature_search(self):
-        lib = Library("t", [scalar_element("a", arity=1),
-                            scalar_element("b", arity=2)])
-        assert [e.name for e in lib.with_signature(arity=2)] == ["b"]
-
     def test_union(self):
         combined = Library.union(Library("x", [scalar_element("a")]),
                                  Library("y", [scalar_element("b")]))

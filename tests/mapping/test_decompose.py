@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 
 from repro.api import MappingSession, SessionConfig
 from repro.library import Library, LibraryElement, full_library
-from repro.mapping import (all_manipulations, decompose, residual_cost,
-                           structural_hints)
+from repro.mapping import decompose, residual_cost, structural_hints
 from repro.platform import Badge4, OperationTally
 from repro.symalg import Polynomial, symbols
 
@@ -147,20 +146,22 @@ class TestSemanticEquivalence:
 
 
 class TestCandidates:
-    def test_all_manipulations_equivalent(self):
-        target = (x + 1) * (x - 1) * y + y ** 2
-        for form in all_manipulations(target):
-            assert form.expression.to_polynomial() == target
-
-    def test_factored_form_present_when_factorable(self):
-        target = (x + 1) ** 2 * (x - 3)
-        labels = {f.label for f in all_manipulations(target)}
-        assert "factored" in labels
-
     def test_structural_hints_include_factors(self):
         target = (x ** 2 - 2 * y) * z
         hints = structural_hints(target)
         assert any(h == x ** 2 - 2 * y for h in hints)
+
+    def test_structural_hints_include_horner_coefficient_groups(self):
+        target = x ** 2 * (y + 1) + x * (y ** 2 + 3) + 5
+        assert structural_hints(target) == [y + 1, y ** 2 + 3]
+
+    def test_structural_hints_list_a_shared_shape_once(self):
+        # y + 1 is both a factor and the coefficient of x.
+        assert structural_hints(x * (y + 1)) == [x, y + 1]
+
+    def test_structural_hints_skip_the_target_and_constants(self):
+        # Irreducible, with constant coefficient groups: nothing to seed.
+        assert structural_hints(x ** 2 + 1) == []
 
 
 def _map(block, library):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.library import Library, LibraryElement
 from repro.mapping import decompose, rewrite
-from repro.platform import Badge4, CostModel, OperationTally
+from repro.platform import Badge4, OperationTally
 from repro.symalg import Polynomial, symbols
 
 x, y = symbols("x y")
@@ -66,18 +66,3 @@ class TestEvaluation:
         got = program.evaluate(env, kernels={"sq2y": kernel})
         assert got == target.evaluate(env)
         assert calls == [(2, 1)]
-
-
-class TestCost:
-    def test_cost_tally_includes_elements_and_residual(self, mapped_program):
-        program, _ = mapped_program
-        tally = program.cost_tally()
-        assert tally.int_mul >= 1          # the element's multiply
-        assert tally.fp_mul >= 1           # residual Horner multiplies
-
-    def test_mapped_cheaper_than_unmapped(self, mapped_program):
-        from repro.mapping import residual_cost
-        program, target = mapped_program
-        model = CostModel()
-        assert model.cycles(program.cost_tally()) < residual_cost(
-            target, PLATFORM)

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from repro.errors import Mp3Error
 from repro.mp3.bitstream import BitReader, BitWriter
 from repro.mp3.huffman import (LINBITS, MAX_SMALL, PAIR_TABLE, HuffmanTable,
-                               cost_decode_spectrum, decode_spectrum,
-                               encode_spectrum)
+                               decode_spectrum, encode_spectrum)
 from repro.platform.tally import OperationTally
 
 
@@ -107,13 +106,3 @@ class TestDecodeTally:
         decode_spectrum(BitReader(w.getvalue()), len(values), tally=tally)
         assert tally.branch > len(values)   # at least one branch per bit
         assert tally.store == len(values)
-
-    def test_analytic_cost_close_to_actual(self):
-        """cost_decode_spectrum must track the tallied decode within 2x."""
-        values = [2, -1, 0, 4] * 36
-        w = BitWriter()
-        encode_spectrum(values, w)
-        actual = OperationTally()
-        decode_spectrum(BitReader(w.getvalue()), len(values), tally=actual)
-        analytic = cost_decode_spectrum(len(values))
-        assert 0.5 < analytic.total_ops() / actual.total_ops() < 2.0

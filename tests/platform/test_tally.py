@@ -70,11 +70,6 @@ class TestBasics:
         t.libm("pow", 3)
         assert t.total_ops() == 5
 
-    def test_breakdown(self):
-        t = make_tally(int_alu=2, load=1)
-        t.libm("pow", 4)
-        assert t.breakdown() == {"int_alu": 2, "load": 1, "libm:pow": 4}
-
 
 class TestProperties:
     @given(st.integers(0, 1000), st.integers(0, 1000), st.integers(1, 20))

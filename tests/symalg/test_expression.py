@@ -73,17 +73,6 @@ class TestOpCount:
 
 
 class TestStructure:
-    def test_depth_leaf(self):
-        assert var("x").depth() == 0
-
-    def test_depth_nested(self):
-        e = ((var("a") + var("b")) + var("c")) + var("d")
-        assert e.depth() == 3
-
-    def test_free_variables(self):
-        e = Call("f", (var("a") + var("b") * var("c"),))
-        assert e.free_variables() == {"a", "b", "c"}
-
     def test_empty_add_raises(self):
         with pytest.raises(SymbolicError):
             Add(())

@@ -1,9 +1,8 @@
-"""Tests for factorization and square-free decomposition."""
+"""Tests for factorization."""
 
 from hypothesis import given, settings
 
-from repro.symalg import (Polynomial, factor, parse_polynomial,
-                          square_free_decomposition, symbols)
+from repro.symalg import Polynomial, factor, symbols
 
 from .strategies import nonzero_polynomials
 
@@ -13,7 +12,7 @@ x, y, z = symbols("x y z")
 class TestPaperExample:
     def test_maple_factor_snippet(self):
         """Section 3.3: factor(x^16 + x^17 + x^2) = x^2 (x^15 + x^14 + 1)."""
-        p = parse_polynomial("x^16 + x^17 + x^2")
+        p = x**16 + x**17 + x**2
         result = factor(p)
         assert result.expand() == p
         bases = {str(b): m for b, m in result}
@@ -101,36 +100,6 @@ class TestMultivariate:
         result = factor(p)
         assert result.expand() == p
         assert (x + y, 2) in result.factors
-
-
-class TestSquareFree:
-    def test_simple(self):
-        p = (x + 1) ** 2 * (x - 1)
-        parts = square_free_decomposition(p)
-        assert dict((m, b) for b, m in parts) == {2: x + 1, 1: x - 1}
-
-    def test_square_free_input(self):
-        p = (x + 1) * (x + 2)
-        parts = square_free_decomposition(p)
-        product = Polynomial.one()
-        for base, mult in parts:
-            product = product * base ** mult
-        assert product == p
-
-    def test_constant_returns_empty(self):
-        assert square_free_decomposition(Polynomial.constant(5)) == []
-
-    @settings(max_examples=25, deadline=None)
-    @given(nonzero_polynomials(max_terms=3))
-    def test_reconstruction(self, p):
-        parts = square_free_decomposition(p)
-        if not parts:
-            return
-        product = Polynomial.one()
-        for base, mult in parts:
-            product = product * base ** mult
-        # product equals p up to rational content
-        assert product.primitive_part() == p.primitive_part()
 
 
 class TestFormatting:

@@ -1,9 +1,9 @@
-"""Tests for polynomial GCD/LCM."""
+"""Tests for polynomial GCD."""
 
 from hypothesis import given, settings
 
-from repro.symalg import Polynomial, polynomial_gcd, polynomial_lcm, symbols
-from repro.symalg.division import reduce
+from repro.symalg import Polynomial, polynomial_gcd, symbols
+from repro.symalg.division import exact_divide, reduce
 from repro.symalg.gcdtools import content_in, primitive_in, pseudo_remainder
 from repro.symalg.ordering import GREVLEX
 
@@ -106,12 +106,7 @@ class TestProperties:
 
     @settings(max_examples=30, deadline=None)
     @given(nonzero_polynomials(max_terms=2), nonzero_polynomials(max_terms=2))
-    def test_lcm_times_gcd_divides_product(self, f, g):
+    def test_cofactors_are_coprime(self, f, g):
+        """f/gcd and g/gcd share no factor: the divisor is the greatest."""
         d = polynomial_gcd(f, g)
-        m = polynomial_lcm(f, g)
-        # lcm * gcd == f * g up to a rational unit.
-        prod = f * g
-        ratio_num = m * d
-        # both divide each other => equal up to constant
-        assert reduce(prod, [ratio_num], GREVLEX).is_zero()
-        assert reduce(ratio_num, [prod], GREVLEX).is_zero()
+        assert polynomial_gcd(exact_divide(f, d), exact_divide(g, d)).is_constant()

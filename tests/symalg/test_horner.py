@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings
 
-from repro.symalg import Polynomial, horner, horner_op_count, parse_polynomial, symbols
+from repro.symalg import Polynomial, horner, horner_op_count, symbols
 
 from .strategies import evaluation_points, nonzero_polynomials
 
@@ -12,7 +12,7 @@ x, y, z = symbols("x y z")
 class TestPaperExample:
     def test_maple_horner_snippet(self):
         """Section 3.3: convert(y^2 x + y x^2 + 4xy + x^2 + 2x, horner, [x,y])."""
-        s = parse_polynomial("y^2*x + y*x^2 + 4*x*y + x^2 + 2*x")
+        s = y**2*x + y*x**2 + 4*x*y + x**2 + 2*x
         nested = horner(s, ["x", "y"])
         # Same function...
         assert nested.to_polynomial() == s
@@ -25,19 +25,19 @@ class TestPaperExample:
 
 class TestUnivariate:
     def test_cubic(self):
-        p = parse_polynomial("2*x^3 - 6*x^2 + 2*x - 1")
+        p = 2*x**3 - 6*x**2 + 2*x - 1
         nested = horner(p)
         assert nested.to_polynomial() == p
         # ((2x - 6)x + 2)x - 1: 3 muls
         assert nested.op_count().muls == 3
 
     def test_monomial_power(self):
-        p = parse_polynomial("x^5")
+        p = x**5
         nested = horner(p)
         assert nested.to_polynomial() == p
 
     def test_sparse_polynomial_gap_handling(self):
-        p = parse_polynomial("x^6 + 1")
+        p = x**6 + 1
         nested = horner(p)
         assert nested.to_polynomial() == p
 
@@ -52,14 +52,14 @@ class TestUnivariate:
 
 class TestVariableOrder:
     def test_order_changes_shape_not_value(self):
-        s = parse_polynomial("x^2*y + x*y^2 + x*y")
+        s = x**2*y + x*y**2 + x*y
         h_xy = horner(s, ["x", "y"])
         h_yx = horner(s, ["y", "x"])
         assert h_xy.to_polynomial() == s
         assert h_yx.to_polynomial() == s
 
     def test_unlisted_variables_appended(self):
-        s = parse_polynomial("x*y + y^2")
+        s = x*y + y**2
         nested = horner(s, ["x"])
         assert nested.to_polynomial() == s
 
@@ -67,14 +67,14 @@ class TestVariableOrder:
 class TestOpCount:
     def test_fewer_muls_than_expanded(self):
         """Horner's defining property: minimal multiplications for dense polys."""
-        p = parse_polynomial("x^4 + x^3 + x^2 + x + 1")
+        p = x**4 + x**3 + x**2 + x + 1
         naive_muls = 4 + 3 + 2 + 1  # power-by-repeated-multiplication
         assert horner_op_count(p).muls < naive_muls
         # (((x + 1)*x + 1)*x + 1)*x + 1 with the leading 1*x folded: 3 muls.
         assert horner_op_count(p).muls == 3
 
     def test_op_count_helper_matches_expression(self):
-        p = parse_polynomial("3*x^2 + 2*x + 1")
+        p = 3*x**2 + 2*x + 1
         assert horner_op_count(p) == horner(p).op_count()
 
 

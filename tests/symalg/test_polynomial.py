@@ -331,14 +331,10 @@ class TestContentDigest:
         c = -(y ** 2) + x * x
         assert a.content_digest() == b.content_digest() == c.content_digest()
 
-    def test_from_dict_and_parser_agree(self):
-        from repro.symalg.parser import parse_polynomial
-
+    def test_from_dict_agrees(self):
         from_dict = Polynomial.from_dict(
             {(2, 1): 3, (0, 3): Fraction(-1, 7), (0, 0): 5}, ("x", "y"))
-        parsed = parse_polynomial("3*x^2*y - 1/7*y^3 + 5")
         assert from_dict.content_digest() == self.BASE.content_digest()
-        assert parsed.content_digest() == self.BASE.content_digest()
 
     def test_unused_variables_do_not_count(self):
         padded = Polynomial.from_dict({(2, 0): 1}, ("x", "z"))

@@ -1,4 +1,4 @@
-"""Tests for Taylor and Chebyshev polynomial approximations."""
+"""Tests for the Taylor polynomial approximations."""
 
 import math
 from fractions import Fraction
@@ -6,8 +6,15 @@ from fractions import Fraction
 import pytest
 
 from repro.errors import SymbolicError
-from repro.symalg import (SUPPORTED_TAYLOR, approximation_error,
-                          chebyshev_fit, taylor)
+from repro.symalg import SUPPORTED_TAYLOR, taylor
+
+
+def max_error(poly, func, lower, upper, samples=256):
+    """Max absolute error of univariate ``poly`` against ``func`` on an
+    evenly spaced grid over ``[lower, upper]``."""
+    step = (upper - lower) / (samples - 1)
+    points = (lower + i * step for i in range(samples))
+    return max(abs(float(poly.evaluate({"_arg": x})) - func(x)) for x in points)
 
 
 class TestTaylorTables:
@@ -82,52 +89,10 @@ class TestTaylorAccuracy:
         # Factorial-convergent series (exp/sin/cos) reach ~1e-11 here;
         # log1p/atan converge like x^9/9 ~ 4e-7 at |x| = 0.25.
         p = taylor(name, 8)
-        err = approximation_error(p, func, -0.25, 0.25)
+        err = max_error(p, func, -0.25, 0.25)
         assert err < 1e-6
 
     def test_error_decreases_with_degree(self):
-        errs = [approximation_error(taylor("exp", d), math.exp, -0.5, 0.5)
+        errs = [max_error(taylor("exp", d), math.exp, -0.5, 0.5)
                 for d in (2, 4, 8)]
         assert errs[0] > errs[1] > errs[2]
-
-
-class TestChebyshev:
-    def test_fits_log_on_interval(self):
-        p = chebyshev_fit(math.log, 0.5, 1.0, 8)
-        assert approximation_error(p, math.log, 0.5, 1.0) < 1e-7
-
-    def test_beats_taylor_on_wide_interval(self):
-        """Chebyshev's minimax advantage on [0.5, 2] for log."""
-        cheb = chebyshev_fit(math.log, 0.5, 2.0, 6)
-        # log(1+t) Taylor re-centered: substitute x = 1 + t
-        from repro.symalg import Polynomial
-        t = Polynomial.variable("_arg")
-        tay = taylor("log1p", 6).substitute({"_arg": t - 1})
-        cheb_err = approximation_error(cheb, math.log, 0.5, 2.0)
-        tay_err = approximation_error(tay, math.log, 0.5, 2.0)
-        assert cheb_err < tay_err
-
-    def test_exact_on_polynomials(self):
-        p = chebyshev_fit(lambda v: 3 * v ** 2 + 1, -1.0, 1.0, 4)
-        assert approximation_error(p, lambda v: 3 * v ** 2 + 1, -1.0, 1.0) < 1e-9
-
-    def test_bad_interval_raises(self):
-        with pytest.raises(SymbolicError):
-            chebyshev_fit(math.exp, 1.0, 0.0, 4)
-
-    def test_custom_variable(self):
-        p = chebyshev_fit(math.exp, 0.0, 1.0, 3, variable="u")
-        assert p.variables == ("u",)
-
-
-class TestApproximationError:
-    def test_zero_for_identical(self):
-        from repro.symalg import Polynomial
-        p = Polynomial.variable("_arg")
-        assert approximation_error(p, lambda v: v, -1, 1) == 0.0
-
-    def test_multivariate_raises(self):
-        from repro.symalg import symbols
-        x, y = symbols("x y")
-        with pytest.raises(SymbolicError):
-            approximation_error(x + y, math.exp, 0, 1)

@@ -1,36 +1,34 @@
-"""Run the doctests embedded in the public API docstrings.
+"""Run every docstring example in the ``repro`` package.
 
 The README and docs/architecture.md lean on docstring examples
 (``symbols``, ``Polynomial`` arithmetic, the packed-monomial helpers,
-the mapping cache); this test keeps every example executable.
+the mapping cache); this test keeps every example executable.  The
+modules are discovered, not listed, so a new example runs as soon as it
+is written.  A module whose examples are all ``+SKIP`` has nothing to
+run and is not collected.
 """
 
 import doctest
 import importlib
+import pkgutil
 
 import pytest
 
-MODULES = [
-    "repro.symalg.polynomial",
-    "repro.symalg.monomials",
-    "repro.symalg.ordering",
-    "repro.mapping.cache",
-    "repro.mapping.pareto",
-    "repro.platform.registry",
-    "repro.resilience.faults",
-    "repro.resilience.breaker",
-    "repro.resilience.retry",
-    "repro.resilience.admission",
-    "repro.api",
-    "repro.api.session",
-    "repro.service.metrics",
-    "repro.codegen.lower",
-    "repro.codegen.fixedpt",
-    "repro.codegen.pysource",
-    "repro.codegen.verify",
-    "repro.mp3.vectors",
-    "repro.workload.registry",
-]
+import repro
+
+
+def _modules_with_examples() -> list[str]:
+    finder = doctest.DocTestFinder()
+    names = []
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(info.name)
+        if any(not example.options.get(doctest.SKIP)
+               for test in finder.find(module) for example in test.examples):
+            names.append(info.name)
+    return names
+
+
+MODULES = _modules_with_examples()
 
 
 @pytest.mark.parametrize("modname", MODULES)
