@@ -29,9 +29,9 @@ objects.  This module supplies the missing pieces:
   :class:`~repro.api.SessionConfig`, which is how two sessions with
   different cache directories coexist in one process with fully
   isolated statistics.
-* **Shared memo caches** — the instantiation cache holds
-  platform-independent derivations keyed by exact inputs, so every
-  session shares it; :func:`shared_cache_stats` and
+* **Shared memo caches** — the ``instantiations`` cache holds bound
+  polynomials, platform-independent derivations keyed by exact inputs,
+  so every session shares it; :func:`shared_cache_stats` and
   :func:`clear_shared_caches` are its one process-wide surface.
 
 A cache directory holds one sqlite file, ``mapping_cache.sqlite``.
@@ -113,8 +113,10 @@ _MISS = object()
 #: reads both from the cached match, so v2 entries could answer with a
 #: stale format); 4 — content-addressed keys: polynomials, elements
 #: and libraries enter disk keys as sha256 content digests instead of
-#: inline coefficients, so every disk key changed format.
-SCHEMA_VERSION = 4
+#: inline coefficients, so every disk key changed format; 5 —
+#: DecomposeResult gains ``truncated`` and ``candidates_dropped`` (a v4
+#: pickle would read ``truncated=False`` for a cut-off search).
+SCHEMA_VERSION = 5
 
 
 class LRUCache:
@@ -634,8 +636,9 @@ class CacheTiers:
 # ----------------------------------------------------------------------
 # Shared memo caches: pure-function derivations every session reuses
 # ----------------------------------------------------------------------
-#: Candidate bindings per (element, target) pair — the innermost loop
-#: of the Decompose search (:mod:`repro.mapping.match`).
+#: Bound polynomials per ``(element digest, binding, output index)``
+#: (:meth:`repro.mapping.match.Instantiation.bound_polynomial`) — the
+#: innermost loop of the Decompose search.
 INSTANTIATIONS_CACHE = LRUCache(maxsize=8192, name="instantiations")
 
 _SHARED_CACHES = (INSTANTIATIONS_CACHE,)

@@ -20,10 +20,18 @@ elements:
   *not* mapping (evaluating the target itself, Horner-form, at
   reference prices) — ``boundVal[i] = Performance(exp_tree[i])`` in the
   paper's pseudo-code; branches whose element cost alone exceeds it are
-  pruned.
+  pruned;
+* a *transposition table* holds, per node polynomial, the
+  ``(cost, accuracy, depth)`` of every node already expanded for it: a
+  node that one of them dominates is skipped, so each distinct
+  polynomial is normally expanded once.
 
 Worst case remains exponential (the paper says so too); node and depth
-limits keep practice polite.
+limits keep practice polite.  ``nodes_explored`` counts the expanded
+nodes (skipped ones are not counted, nor charged to ``max_nodes``);
+:class:`DecomposeResult` also says whether ``max_nodes`` cut the search
+short (``truncated``) and how many ranked candidates the per-node cap
+discarded (``candidates_dropped``).
 
 The module-level :func:`decompose` is the plain, uncached search.  This
 module also owns the two cache keys (``_decompose_key``,
@@ -164,6 +172,13 @@ class MappingSolution:
 class DecomposeResult:
     """Search outcome plus statistics (for the Table 2 runtime bench).
 
+    ``nodes_explored`` counts expanded nodes; a node the transposition
+    table skips is not one.  ``truncated`` is true when ``max_nodes``
+    stopped the search while a node it would not skip was still
+    waiting, so ``best`` may not be the best cover.
+    ``candidates_dropped`` sums, over the expanded nodes, the ranked
+    candidates past the per-node cap (24) that were never tried.
+
     Frozen: the cached search returns the same instance to every
     caller, so mutation would poison the cache.
     """
@@ -172,6 +187,8 @@ class DecomposeResult:
     nodes_explored: int
     solutions_found: int
     pruned: int
+    truncated: bool = False
+    candidates_dropped: int = 0
 
     @property
     def mapped(self) -> bool:
@@ -187,6 +204,11 @@ class _Node:
     steps: tuple[Instantiation, ...] = field(compare=False)
     cost: float = field(compare=False)
     accuracy: float = field(compare=False)
+
+
+#: Candidates tried per node, best-ranked first (see
+#: :func:`_candidate_instantiations`).
+_MAX_CANDIDATES = 24
 
 
 def decompose(
@@ -243,9 +265,31 @@ def _decompose_uncached(
     use_hints: bool,
     use_bounding: bool,
 ) -> DecomposeResult:
-    """The actual branch-and-bound search behind :func:`decompose`."""
+    """The actual branch-and-bound search behind :func:`decompose`.
+
+    Each derived value is computed once per search.  Bound polynomials
+    are memoized per binding (:meth:`Instantiation.bound_polynomial`),
+    a bound polynomial is ranked against the hints once
+    (``hint_matches``), and a transposition table (``expanded``) keeps
+    the ``(cost, accuracy, depth)`` of every expanded node per node
+    polynomial.  A popped node is skipped when an expanded node with
+    the same polynomial has cost, accuracy and depth each ``<=`` its
+    own.  Skipping cannot change the answer:
+
+    * both nodes have the same polynomial, so they have the same
+      residual cost and the same candidates;
+    * the dominated node's own candidate solution, and every node below
+      it, cost at least as much (with at least the accuracy loss) as
+      their counterparts under the dominating node, which reach the
+      same polynomials up to fresh output symbols in no more steps;
+    * ``best`` changes only on a strict ``<``, and the dominating node
+      was popped first (the frontier pops in cost order, ties first in
+      first out), so every counterpart was priced before the node it
+      dominates.
+    """
     program_vars = frozenset(target.variables)
     hints = structural_hints(target) if use_hints else []
+    hint_matches: dict[Polynomial, bool] = {}
 
     unmapped = MappingSolution(
         steps=(),
@@ -260,12 +304,19 @@ def _decompose_uncached(
     counter = itertools.count()
     root = _Node(0.0, next(counter), target, (), 0.0, 0.0)
     frontier: list[_Node] = [root]
+    expanded: dict[Polynomial, list[tuple[float, float, int]]] = {}
     explored = 0
     solutions = 1  # the unmapped fallback counts as found
     pruned = 0
+    dropped = 0
 
     while frontier and explored < max_nodes:
         node = heapq.heappop(frontier)
+        if _dominated(node, expanded):
+            continue
+        expanded.setdefault(node.polynomial, []).append(
+            (node.cost, node.accuracy, len(node.steps))
+        )
         explored += 1
 
         if node.steps:
@@ -287,9 +338,11 @@ def _decompose_uncached(
         if len(node.steps) >= max_depth:
             continue
 
-        for inst in _candidate_instantiations(
-            node.polynomial, library, program_vars, hints, tolerance
-        ):
+        candidates, cut = _candidate_instantiations(
+            node.polynomial, library, program_vars, hints, hint_matches, tolerance
+        )
+        dropped += cut
+        for inst in candidates:
             if len(node.steps):
                 # Fresh output symbol per application along this path.
                 inst = replace(inst, tag=str(len(node.steps)))
@@ -349,7 +402,23 @@ def _decompose_uncached(
                 ),
             )
 
-    return DecomposeResult(best, explored, solutions, pruned)
+    # The loop ends early only at max_nodes; the answer is cut short
+    # when a node it would still have expanded is left behind.
+    truncated = any(not _dominated(node, expanded) for node in frontier)
+    return DecomposeResult(best, explored, solutions, pruned, truncated, dropped)
+
+
+def _dominated(
+    node: _Node, expanded: dict[Polynomial, list[tuple[float, float, int]]]
+) -> bool:
+    """True iff an expanded node with ``node``'s polynomial has cost,
+    accuracy and depth each ``<=`` ``node``'s (the transposition table
+    of :func:`_decompose_uncached`)."""
+    depth = len(node.steps)
+    return any(
+        cost <= node.cost and accuracy <= node.accuracy and seen <= depth
+        for cost, accuracy, seen in expanded.get(node.polynomial, ())
+    )
 
 
 def _elimination_order(
@@ -370,19 +439,22 @@ def _candidate_instantiations(
     library: Library,
     program_vars: frozenset[str],
     hints: list[Polynomial],
+    hint_matches: dict[Polynomial, bool],
     tolerance: float,
-) -> list[Instantiation]:
-    """Side-relation candidates for one node, best-first.
+) -> tuple[list[Instantiation], int]:
+    """Side-relation candidates for one node, best-first, plus the
+    number of ranked candidates the ``_MAX_CANDIDATES`` cap dropped.
 
     Ranking implements the paper's guidance: relations whose bound
     polynomial *is* the node (exact cover) come first, then relations
     matching one of the target's structural hints (this reproduction's
     ``AllManipulations`` guidance), then the rest by ascending element
-    cost.
+    cost.  ``hint_matches`` remembers, per bound polynomial, whether it
+    matches a hint; the search owns it, since the hints are its own.
     """
     remaining = set(poly.variables) & program_vars
     if not remaining:
-        return []
+        return [], 0
     scored: list[tuple[int, float, Instantiation]] = []
     # Canonical (name-sorted) element order: tie-breaking and the
     # truncation below must not depend on library assembly order, or
@@ -399,13 +471,17 @@ def _candidate_instantiations(
                 continue
             if bound_poly.almost_equal(poly, tolerance):
                 rank = 0
-            elif any(bound_poly.almost_equal(h, tolerance) for h in hints):
-                rank = 1
             else:
-                rank = 2
+                matches = hint_matches.get(bound_poly)
+                if matches is None:
+                    matches = hint_matches[bound_poly] = any(
+                        bound_poly.almost_equal(h, tolerance) for h in hints
+                    )
+                rank = 1 if matches else 2
             scored.append((rank, float(element.cost.total_ops()), inst))
     scored.sort(key=lambda t: (t[0], t[1]))
-    return [inst for _, _, inst in scored[:24]]
+    kept = scored[:_MAX_CANDIDATES]
+    return [inst for _, _, inst in kept], len(scored) - len(kept)
 
 
 def _map_block_uncached(

@@ -64,11 +64,22 @@ class Instantiation:
         return f"{base}_{self.tag}" if self.tag else base
 
     def bound_polynomial(self) -> Polynomial:
-        """The element polynomial over the target's variables."""
-        mapping = {
-            formal: Polynomial.variable(actual) for formal, actual in self.binding
-        }
-        return self.element.polynomials[self.output_index].substitute(mapping)
+        """The element polynomial over the target's variables.
+
+        Memoized per ``(element digest, binding, output index)``: the
+        tag only renames the output symbol, so it stays out of the key,
+        and enumeration, ranking and the side relation of every tagged
+        copy share one ``substitute``.
+        """
+        key = (element_digest(self.element), self.binding, self.output_index)
+        bound = INSTANTIATIONS_CACHE.get(key)
+        if bound is None:
+            mapping = {
+                formal: Polynomial.variable(actual) for formal, actual in self.binding
+            }
+            bound = self.element.polynomials[self.output_index].substitute(mapping)
+            INSTANTIATIONS_CACHE.put(key, bound)
+        return bound
 
     def side_relation(self) -> SideRelation:
         """``output_symbol = bound polynomial`` for the simplifier."""
@@ -116,23 +127,7 @@ def enumerate_instantiations(
     variable across formals (``mac(x, x, y)`` computes ``x^2 + y``),
     which MAC-style decomposition chains rely on; candidates are ranked
     by how many of the target's monomials the bound polynomial shares.
-
-    Memoized per ``(element digest, target, tolerance, limit)``: cached
-    instantiations reference the first structurally-equal element seen,
-    which is interchangeable by the fingerprint contract.
     """
-    key = (element_digest(element), target, tolerance, limit)
-    cached = INSTANTIATIONS_CACHE.get(key)
-    if cached is not None:
-        return list(cached)
-    result = _enumerate_uncached(element, target, tolerance, limit)
-    INSTANTIATIONS_CACHE.put(key, tuple(result))
-    return result
-
-
-def _enumerate_uncached(
-    element: LibraryElement, target: Polynomial, tolerance: float, limit: int
-) -> list[Instantiation]:
     out: list[tuple[int, Instantiation]] = []
     target_vars = sorted(target.variables, key=_natural_key)
     if not target_vars:

@@ -75,9 +75,6 @@ class HuffmanTable:
         # with leaves as ints; also record max depth for cost modelling.
         self._root = self._build_tree()
         self.max_code_length = max(e.bits for e in self._encode.values())
-        self._mean_length = (
-            sum(e.bits * weights[s] for s, e in self._encode.items())
-            / sum(weights.values()))
 
     def _build_tree(self):
         root: list = [None, None]
@@ -96,11 +93,6 @@ class HuffmanTable:
     @property
     def symbols(self) -> list[int]:
         return sorted(self._encode)
-
-    @property
-    def mean_code_length(self) -> float:
-        """Expected code length under the design weights."""
-        return self._mean_length
 
     def encode(self, symbol: int, writer: BitWriter) -> None:
         """Append ``symbol``'s code to ``writer``."""

@@ -62,10 +62,6 @@ class Expression:
         """Numerically evaluate; ``functions`` supplies Call semantics."""
         raise NotImplementedError
 
-    def children(self) -> tuple["Expression", ...]:
-        """Immediate sub-expressions."""
-        raise NotImplementedError
-
     def to_polynomial(self) -> Polynomial:
         """Canonicalize to a polynomial (a :class:`Call` raises
         :class:`~repro.errors.SymbolicError`)."""
@@ -107,9 +103,6 @@ class Const(Expression):
     def evaluate(self, env, functions=None):
         return self.value
 
-    def children(self):
-        return ()
-
     def to_polynomial(self):
         return Polynomial.constant(self.value)
 
@@ -130,9 +123,6 @@ class Var(Expression):
         if self.name not in env:
             raise SymbolicError(f"no value bound for variable {self.name!r}")
         return env[self.name]
-
-    def children(self):
-        return ()
 
     def to_polynomial(self):
         return Polynomial.variable(self.name)
@@ -159,9 +149,6 @@ class Add(Expression):
         for arg in self.args[1:]:
             total = total + arg.evaluate(env, functions)
         return total
-
-    def children(self):
-        return self.args
 
     def to_polynomial(self):
         total = Polynomial.zero()
@@ -195,9 +182,6 @@ class Mul(Expression):
             total = total * arg.evaluate(env, functions)
         return total
 
-    def children(self):
-        return self.args
-
     def to_polynomial(self):
         total = Polynomial.one()
         for arg in self.args:
@@ -224,9 +208,6 @@ class Pow(Expression):
     def evaluate(self, env, functions=None):
         return self.base.evaluate(env, functions) ** self.exponent
 
-    def children(self):
-        return (self.base,)
-
     def to_polynomial(self):
         return self.base.to_polynomial() ** self.exponent
 
@@ -252,9 +233,6 @@ class Call(Expression):
             raise SymbolicError(f"no implementation bound for function {self.function!r}")
         values = [arg.evaluate(env, functions) for arg in self.args]
         return functions[self.function](*values)
-
-    def children(self):
-        return self.args
 
     def to_polynomial(self):
         raise SymbolicError(

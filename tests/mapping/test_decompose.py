@@ -125,6 +125,27 @@ class TestBounding:
         target = (x * y + y * z + x * z) ** 2
         result = decompose(target, lib, PLATFORM, max_nodes=10)
         assert result.nodes_explored <= 10
+        assert result.truncated
+
+    def test_finished_search_is_not_truncated(self):
+        """The node-limit target finishes (306 nodes) under the default cap."""
+        i0, i1 = in_vars(2)
+        lib = Library("demo", [element(i0 * i1, "mul2")])
+        target = (x * y + y * z + x * z) ** 2
+        result = decompose(target, lib, PLATFORM)
+        assert result.nodes_explored < 500
+        assert not result.truncated
+
+    def test_candidate_cap_drops_are_counted(self):
+        """The paper's target has more ranked candidates per node than
+        the per-node cap keeps; the dropped ones are reported."""
+        target = x + x ** 3 * y ** 2 - 2 * x * y ** 3
+        result = decompose(target, full_library(), PLATFORM)
+        assert result.candidates_dropped > 0
+        assert not result.truncated
+        demo = decompose(target, Library("demo", [element(in_vars(1)[0] ** 2)]),
+                         PLATFORM)
+        assert demo.candidates_dropped == 0
 
 
 class TestSemanticEquivalence:

@@ -4,7 +4,7 @@ import pytest
 
 from repro.frontend import ArrayInput, extract_block
 from repro.library import LibraryElement, full_library
-from repro.mapping import enumerate_instantiations, match_block
+from repro.mapping import Instantiation, enumerate_instantiations, match_block
 from repro.platform import OperationTally
 from repro.symalg import Polynomial, symbols
 
@@ -44,6 +44,22 @@ class TestInstantiation:
         tagged = replace(inst, tag="2")
         assert tagged.output_symbol == "incr_out_2"
         assert inst.output_symbol == "incr_out"
+
+    def test_bound_polynomial_memo_ignores_the_tag(self, isolated_cache_env):
+        """Tagged copies of one binding share one memo entry, and
+        ``clear_shared_caches`` empties the memo."""
+        from dataclasses import replace
+
+        from repro.mapping import clear_shared_caches, shared_cache_stats
+        e = element(Polynomial.variable("in0") * Polynomial.variable("in1"))
+        inst = Instantiation(e, (("in0", "x"), ("in1", "y")))
+        first = inst.bound_polynomial()
+        assert replace(inst, tag="1").side_relation().polynomial is first
+        memo = shared_cache_stats()["instantiations"]
+        assert (memo["size"], memo["hits"], memo["misses"]) == (1, 1, 1)
+        clear_shared_caches()
+        assert shared_cache_stats()["instantiations"]["size"] == 0
+        assert inst.bound_polynomial() == x * y
 
     def test_constant_target_yields_nothing(self):
         e = element(Polynomial.variable("in0"))

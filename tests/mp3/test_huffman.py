@@ -43,16 +43,6 @@ class TestTableConstruction:
         with pytest.raises(Mp3Error):
             PAIR_TABLE.encode(10_000, BitWriter())
 
-    def test_mean_code_length_bounded_by_entropy_plus_one(self):
-        """Huffman optimality: mean length < H + 1."""
-        import math
-        weights = {i: 2.0 ** -i for i in range(1, 9)}
-        table = HuffmanTable(weights)
-        total = sum(weights.values())
-        entropy = -sum((w / total) * math.log2(w / total)
-                       for w in weights.values())
-        assert table.mean_code_length < entropy + 1
-
 
 class TestCodecRoundTrip:
     def roundtrip(self, values):
