@@ -198,12 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the winner's generated kernel source",
     )
     add_map_options(p_codegen)
-    p_codegen.add_argument(
-        "--emit",
-        choices=("python",),
-        default="python",
-        help="target language of the emitted kernel (default: %(default)s)",
-    )
 
     p_workloads = sub.add_parser("workloads", help="list the workload registry")
     add_session_options(p_workloads)
@@ -439,7 +433,6 @@ def _cmd_codegen(args: argparse.Namespace) -> int:
             "workload": result.request.workload,
             "element": result.winner.element.name,
             "element_library": result.winner.element.library,
-            "emit": args.emit,
             "input_format": result.winner.element.input_format,
             "output_format": result.winner.element.output_format,
             "source": source,

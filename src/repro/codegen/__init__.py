@@ -28,6 +28,7 @@ from repro.codegen.lower import (
     lower_expressions,
     lower_match,
     lower_polynomials,
+    lower_solution,
 )
 from repro.codegen.pysource import CompiledKernel, compile_kernel, emit_python
 from repro.codegen.verify import (
@@ -46,6 +47,7 @@ __all__ = [
     "lower_expressions",
     "lower_match",
     "lower_polynomials",
+    "lower_solution",
     "NumericFormat",
     "parse_format",
     "element_formats",

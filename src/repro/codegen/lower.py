@@ -1,11 +1,13 @@
-"""Lowering mapped blocks to a linear three-address IR.
+"""Lowering mapped blocks and covers to a linear three-address IR.
 
 The paper's output is *code*: each mapped block either becomes a call
 into a complex library element or residual polynomial arithmetic.
-This module turns both into the same executable currency — a flat
-list of three-address instructions over SSA-style value names — so the
-fixed-point binder (:mod:`repro.codegen.fixedpt`) and the Python
-emitter (:mod:`repro.codegen.pysource`) share one input shape.
+This module turns both kinds of answer into the same executable
+currency — a flat list of three-address instructions over SSA-style
+value names — so the fixed-point binder (:mod:`repro.codegen.fixedpt`)
+and the Python emitter (:mod:`repro.codegen.pysource`) share one input
+shape.  A block match lowers through :func:`lower_match`, a Decompose
+cover through :func:`lower_solution`.
 
 Scheduling reuses :func:`repro.symalg.horner.horner`: every output
 polynomial is nested into its Horner form over the block's natural
@@ -14,11 +16,9 @@ prices), then walked bottom-up with structural common-subexpression
 elimination, so repeated powers and shared subterms are computed once.
 
 The IR is deliberately tiny — ``const``, ``add``, ``mul`` — because
-that is the whole operation set of a matched element's polynomial
-rows (powers lower to repeated multiplication, exactly as
-:meth:`~repro.symalg.expression.Pow.op_count` costs them).  ``Call``
-nodes have no lowering: nonlinear functions reach the mapper only
-through polynomial approximations, which are already plain arithmetic.
+that is the whole operation set of a Horner form (powers are repeated
+multiplication).  :meth:`LoweredKernel.evaluate` gives it its exact
+meaning in ``Fraction`` arithmetic.
 
 >>> from repro.symalg.polynomial import Polynomial
 >>> x = Polynomial.variable("x")
@@ -30,6 +30,8 @@ t1 = const 3
 t2 = add t0 t1
 >>> kernel.outputs
 (('out', 't2'),)
+>>> kernel.evaluate({"x": 2})
+{'out': Fraction(7, 1)}
 """
 
 from __future__ import annotations
@@ -40,10 +42,11 @@ from typing import Mapping, Sequence
 
 from repro.errors import CodegenError
 from repro.frontend.extract import TargetBlock
+from repro.mapping.decompose import MappingSolution
 from repro.mapping.match import BlockMatch, _natural_key
-from repro.symalg.expression import Add, Const, Expression, Mul, Pow, Var
+from repro.symalg.expression import Add, Const, Expression, Mul, Var
 from repro.symalg.horner import horner
-from repro.symalg.polynomial import Polynomial
+from repro.symalg.polynomial import Polynomial, Scalar
 
 __all__ = [
     "Instr",
@@ -52,6 +55,7 @@ __all__ = [
     "lower_polynomials",
     "lower_block",
     "lower_match",
+    "lower_solution",
     "block_inputs",
 ]
 
@@ -100,6 +104,18 @@ class LoweredKernel:
             counts[instr.op] += 1
         return counts
 
+    def evaluate(self, env: Mapping[str, Scalar]) -> dict[str, Fraction]:
+        """Run the instructions exactly, in ``Fraction`` arithmetic, from
+        the inputs' values in ``env``; ``{output name: value}``."""
+        values = {name: Fraction(env[name]) for name in self.inputs}
+        for instr in self.instructions:
+            if instr.op == "const":
+                values[instr.dest] = instr.args[0]
+            else:
+                a, b = (values[arg] for arg in instr.args)
+                values[instr.dest] = a + b if instr.op == "add" else a * b
+        return {name: values[value] for name, value in self.outputs}
+
     def __str__(self) -> str:
         lines = [f"kernel {self.name}({', '.join(self.inputs)}):"]
         lines += [f"  {instr}" for instr in self.instructions]
@@ -108,10 +124,15 @@ class LoweredKernel:
 
 
 class _Lowerer:
-    """Bottom-up expression walker with structural CSE."""
+    """Bottom-up expression walker with structural CSE.
+
+    ``names`` maps each variable an expression may read to the value
+    name holding it: the kernel inputs hold themselves, and a cover's
+    step output symbols are added as the steps are lowered.
+    """
 
     def __init__(self, inputs: Sequence[str]):
-        self.inputs = frozenset(inputs)
+        self.names = {name: name for name in inputs}
         self.instructions: list[Instr] = []
         self._memo: dict[tuple, str] = {}
 
@@ -137,26 +158,17 @@ class _Lowerer:
         if isinstance(expr, Const):
             return self._emit("const", (expr.value,))
         if isinstance(expr, Var):
-            if expr.name not in self.inputs:
+            name = self.names.get(expr.name)
+            if name is None:
                 raise CodegenError(
                     f"expression reads {expr.name!r}, which is not a "
                     f"kernel input")
-            return expr.name
+            return name
         if isinstance(expr, Add):
             return self._fold("add", expr.args)
         if isinstance(expr, Mul):
             return self._fold("mul", expr.args)
-        if isinstance(expr, Pow):
-            if expr.exponent == 0:
-                return self._emit("const", (Fraction(1),))
-            base = self.value(expr.base)
-            acc = base
-            for _ in range(expr.exponent - 1):
-                acc = self._emit("mul", (acc, base))
-            return acc
-        raise CodegenError(
-            f"cannot lower {type(expr).__name__} nodes; only polynomial "
-            f"arithmetic (const/var/add/mul/pow) has a fixed-point lowering")
+        raise CodegenError(f"cannot lower {type(expr).__name__} nodes")
 
 
 def lower_expressions(
@@ -243,3 +255,24 @@ def lower_match(block: TargetBlock, match: BlockMatch) -> LoweredKernel:
     return lower_polynomials(
         f"{block.name}__{element.name}", polys, block_inputs(block)
     )
+
+
+def lower_solution(solution: MappingSolution, name: str) -> LoweredKernel:
+    """Lower a Decompose cover to one kernel with the single output
+    ``out``.
+
+    Each step's bound polynomial is lowered in application order, then
+    the residual, all in one CSE scope.  A step's output symbol names
+    the value that holds it, so a later step or the residual that reads
+    the symbol reads that value.  The kernel's inputs are the cover's
+    program variables, sorted; no element output is one.
+    """
+    polys = [step.bound_polynomial() for step in solution.steps]
+    symbols = {step.output_symbol for step in solution.steps}
+    used = {v for poly in polys + [solution.residual] for v in poly.variables}
+    inputs = tuple(sorted(used - symbols))
+    lowerer = _Lowerer(inputs)
+    for step, poly in zip(solution.steps, polys):
+        lowerer.names[step.output_symbol] = lowerer.value(horner(poly))
+    out = lowerer.value(horner(solution.residual))
+    return LoweredKernel(name, inputs, tuple(lowerer.instructions), (("out", out),))

@@ -136,8 +136,7 @@ def residual_cost(poly: Polynomial, platform: Badge4) -> float:
     if poly.is_zero() or poly.is_constant():
         return 0.0
     count = horner(poly).op_count()
-    tally = OperationTally(fp_add=count.adds, fp_mul=count.muls, fp_div=count.divs)
-    tally.call += count.calls
+    tally = OperationTally(fp_add=count.adds, fp_mul=count.muls)
     return platform.cost_model.cycles(tally)
 
 

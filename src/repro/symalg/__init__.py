@@ -15,13 +15,12 @@ Quick tour:
 """
 
 from repro.symalg.division import DivisionResult, divide, exact_divide, reduce
-from repro.symalg.expression import (Add, Call, Const, Expression, Mul,
-                                     OpCount, Pow, Var, const, flatten,
-                                     to_source, var)
+from repro.symalg.expression import (Add, Const, Expression, Mul, OpCount,
+                                     Var, flatten, to_source)
 from repro.symalg.factor import Factorization, factor
 from repro.symalg.gcdtools import polynomial_gcd
 from repro.symalg.groebner import groebner_basis, is_groebner_basis, s_polynomial
-from repro.symalg.horner import horner, horner_op_count
+from repro.symalg.horner import horner
 from repro.symalg.ideal import SideRelation, simplify_modulo
 from repro.symalg.ordering import GREVLEX, GRLEX, LEX, TermOrder
 from repro.symalg.polynomial import Polynomial, symbols
@@ -35,8 +34,8 @@ __all__ = [
     "SideRelation", "simplify_modulo",
     "polynomial_gcd",
     "factor", "Factorization",
-    "horner", "horner_op_count",
+    "horner",
     "taylor", "SUPPORTED_TAYLOR",
-    "Expression", "Const", "Var", "Add", "Mul", "Pow", "Call", "OpCount",
-    "const", "var", "flatten", "to_source",
+    "Expression", "Const", "Var", "Add", "Mul", "OpCount",
+    "flatten", "to_source",
 ]

@@ -27,11 +27,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Sequence
 
-from repro.symalg.expression import (Add, Const, Expression, Mul, OpCount,
-                                     Var, flatten)
+from repro.symalg.expression import Add, Const, Expression, Mul, Var, flatten
 from repro.symalg.polynomial import Polynomial
 
-__all__ = ["horner", "horner_op_count"]
+__all__ = ["horner"]
 
 #: A term being nested: ``((depth, exponent), ...)`` and its coefficient.
 _Term = tuple[tuple[tuple[int, int], ...], Fraction]
@@ -54,12 +53,6 @@ def horner(poly: Polynomial, variable_order: Sequence[str] | None = None
     """
     order = _full_order(poly, variable_order)
     return flatten(_horner(_decode(poly, order), order))
-
-
-def horner_op_count(poly: Polynomial,
-                    variable_order: Sequence[str] | None = None) -> OpCount:
-    """Operation count of the Horner form (cost-model input)."""
-    return horner(poly, variable_order).op_count()
 
 
 def _full_order(poly: Polynomial, variable_order: Sequence[str] | None

@@ -125,7 +125,6 @@ class TestCodegenCommand:
                      "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["block"] == "inv_mdctL"
-        assert payload["emit"] == "python"
         assert payload["element"] == "fixed_IMDCT"
         assert "def run_raw" in payload["source"]
 

@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from repro.codegen.lower import (
     Instr,
@@ -11,14 +12,25 @@ from repro.codegen.lower import (
     lower_expressions,
     lower_match,
     lower_polynomials,
+    lower_solution,
 )
 from repro.errors import CodegenError
-from repro.library import full_library
-from repro.symalg import symbols
-from repro.symalg.expression import Call, Var
+from repro.library import LibraryElement, full_library
+from repro.mapping import Instantiation, MappingSolution
+from repro.platform import OperationTally
+from repro.symalg import Polynomial, horner, symbols
+from repro.symalg.expression import Var
 from repro.workload import workload_named
 
-x, y = symbols("x y")
+from ..symalg.strategies import VARIABLES, evaluation_points, nonzero_polynomials
+
+x, y, z = symbols("x y z")
+
+_IN = [Polynomial.variable(f"in{i}") for i in range(3)]
+MAC = LibraryElement(
+    name="mac", library="IH", polynomials=(_IN[0] * _IN[1] + _IN[2],),
+    input_format="q", output_format="q", accuracy=1e-6,
+    cost=OperationTally(int_mul=1, int_alu=1))
 
 
 def _mapped(block_name="inv_mdctL"):
@@ -89,12 +101,11 @@ class TestLowerPolynomials:
 
 class TestLowerExpressions:
     def test_pow_lowers_to_repeated_multiplication(self):
-        kernel = lower_expressions("p4", {"out": Var("x") ** 4}, ("x",))
+        kernel = lower_expressions("p4", {"out": horner(x**4)}, ("x",))
         assert [i.op for i in kernel.instructions] == ["mul"] * 3
 
     def test_pow_zero_is_const_one(self):
-        kernel = lower_expressions(
-            "one", {"out": Var("x") ** 0}, ("x",))
+        kernel = lower_expressions("one", {"out": horner(x**0)}, ("x",))
         assert kernel.instructions == (
             Instr("t0", "const", (Fraction(1),)),)
 
@@ -102,10 +113,37 @@ class TestLowerExpressions:
         with pytest.raises(CodegenError, match="not a .*kernel input"):
             lower_expressions("bad", {"out": Var("y")}, ("x",))
 
-    def test_call_nodes_have_no_lowering(self):
-        with pytest.raises(CodegenError, match="cannot lower Call"):
-            lower_expressions(
-                "bad", {"out": Call("sin", Var("x"))}, ("x",))
+
+class TestEvaluate:
+    def test_arithmetic(self):
+        kernel = lower_polynomials("p", {"out": (x + 2) * y}, ("x", "y"))
+        assert kernel.evaluate({"x": 3, "y": 4}) == {"out": 20}
+
+    def test_powers_are_exact(self):
+        kernel = lower_polynomials("cube", {"out": x**3}, ("x",))
+        value = kernel.evaluate({"x": Fraction(3, 2)})["out"]
+        assert isinstance(value, Fraction)
+        assert value == Fraction(27, 8)
+
+    def test_missing_input_raises(self):
+        kernel = lower_polynomials("p", {"out": x * y}, ("x", "y"))
+        with pytest.raises(KeyError, match="y"):
+            kernel.evaluate({"x": 1})
+
+    def test_every_output_is_returned(self):
+        kernel = lower_polynomials(
+            "two", {"a": x + 1, "b": x * y}, ("x", "y"))
+        assert kernel.evaluate({"x": 2, "y": 5}) == {"a": 3, "b": 10}
+
+    def test_identity_output_reads_the_input(self):
+        kernel = lower_polynomials("idy", {"out": x}, ("x",))
+        assert kernel.evaluate({"x": Fraction(-7, 3)}) == {"out": Fraction(-7, 3)}
+
+    @settings(max_examples=40, deadline=None)
+    @given(nonzero_polynomials(max_terms=5), evaluation_points)
+    def test_lowered_polynomial_evaluates_identically(self, p, point):
+        kernel = lower_polynomials("p", {"out": p}, VARIABLES)
+        assert kernel.evaluate(point)["out"] == p.evaluate(point)
 
 
 class TestLowerBlock:
@@ -136,3 +174,52 @@ class TestLowerMatch:
         other = workload_named("mp3").methodology_blocks()["SubBandSynthesis"]
         with pytest.raises(CodegenError, match="outputs"):
             lower_match(other, winner)
+
+
+def _mac(in0, in1, in2, tag=""):
+    return Instantiation(MAC, (("in0", in0), ("in1", in1), ("in2", in2)), tag=tag)
+
+
+def _cover(steps, residual):
+    return MappingSolution(tuple(steps), residual, 0.0, 0.0, 0.0)
+
+
+class TestLowerSolution:
+    def test_chained_step_reads_the_earlier_value(self):
+        first = _mac("x", "x", "y")  # mac_out = x^2 + y
+        second = _mac(first.output_symbol, "x", "x", tag="1")
+        residual = Polynomial.variable(second.output_symbol) * y
+        kernel = lower_solution(_cover([first, second], residual), "chain")
+        assert kernel.name == "chain"
+        assert kernel.inputs == ("x", "y")
+        assert kernel.output_names == ("out",)
+        read = {arg for instr in kernel.instructions for arg in instr.args}
+        assert not read & {"mac_out", "mac_out_1"}
+        # ((3*3 + 2)*3 + 3)*2
+        assert kernel.evaluate({"x": 3, "y": 2}) == {"out": 72}
+
+    def test_a_variable_only_the_residual_reads_is_an_input(self):
+        step = _mac("x", "x", "x")
+        residual = Polynomial.variable(step.output_symbol) * z
+        kernel = lower_solution(_cover([step], residual), "k")
+        assert kernel.inputs == ("x", "z")
+
+    def test_no_steps_lowers_the_residual_alone(self):
+        p = 3*x**2*y + 2*x*y + y + 7
+        kernel = lower_solution(_cover([], p), "p")
+        assert str(kernel) == str(lower_polynomials("p", {"out": p}, ("x", "y")))
+
+    def test_residual_that_is_a_step_output_adds_nothing(self):
+        step = _mac("x", "y", "x")
+        kernel = lower_solution(
+            _cover([step], Polynomial.variable(step.output_symbol)), "k")
+        alone = lower_polynomials("k", {"out": step.bound_polynomial()}, ("x", "y"))
+        assert kernel.instructions == alone.instructions
+        assert kernel.outputs == alone.outputs
+
+    def test_cse_spans_steps_and_residual(self):
+        step = _mac("x", "x", "y")  # computes x*x
+        residual = Polynomial.variable(step.output_symbol) + x**2
+        kernel = lower_solution(_cover([step], residual), "k")
+        assert kernel.op_counts()["mul"] == 1
+        assert kernel.evaluate({"x": 3, "y": 2}) == {"out": 20}

@@ -57,7 +57,7 @@ class TestExamples:
 
     def test_mac_decomposition(self):
         out = run_example("mac_decomposition.py")
-        assert "fx_exp_out = fx_exp(x)" in out
+        assert "fx_exp(in0=x)" in out
         assert "['fx_exp']" in out
         # The complex element must beat the generic-code cost by >10x.
         import re

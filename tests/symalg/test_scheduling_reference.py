@@ -15,8 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.symalg import expression
-from repro.symalg.expression import (Add, Call, Const, Expression, Mul, Pow,
-                                     Var, flatten)
+from repro.symalg.expression import Add, Const, Expression, Mul, Var, flatten
 from repro.symalg.horner import horner
 from repro.symalg.polynomial import Polynomial
 
@@ -56,17 +55,6 @@ def reference_flatten(expr: Expression) -> Expression:
         if constant != 1 or not args:
             args.insert(0, Const(constant))
         return args[0] if len(args) == 1 else Mul(tuple(args))
-    if isinstance(expr, Pow):
-        base = reference_flatten(expr.base)
-        if expr.exponent == 0:
-            return Const(Fraction(1))
-        if expr.exponent == 1:
-            return base
-        if isinstance(base, Const):
-            return Const(base.value ** expr.exponent)
-        return Pow(base, expr.exponent)
-    if isinstance(expr, Call):
-        return Call(expr.function, tuple(reference_flatten(a) for a in expr.args))
     return expr
 
 
@@ -128,13 +116,7 @@ leaves = st.one_of(constants, st.sampled_from(VARIABLES).map(Var))
 
 def _branches(children):
     args = st.lists(children, min_size=1, max_size=4).map(tuple)
-    return st.one_of(
-        args.map(Add),
-        args.map(Mul),
-        st.builds(Pow, children, st.integers(min_value=0, max_value=3)),
-        st.builds(Call, st.sampled_from(["f", "g"]),
-                  st.lists(children, min_size=1, max_size=2).map(tuple)),
-    )
+    return st.one_of(args.map(Add), args.map(Mul))
 
 
 expressions = st.recursive(leaves, _branches, max_leaves=30)
@@ -162,8 +144,6 @@ class TestAgainstTheReference:
 
 
 def _nodes(expr: Expression) -> int:
-    if isinstance(expr, Pow):
-        return 1 + _nodes(expr.base)
     return 1 + sum(_nodes(arg) for arg in getattr(expr, "args", ()))
 
 
