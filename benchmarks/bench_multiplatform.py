@@ -1,6 +1,6 @@
 """Multi-platform sweep benchmark: cold vs disk-warm.
 
-The work set is ``MethodologyFlow.sweep`` over every registered
+The work set is ``MappingSession.sweep`` over every registered
 processor (SA-1110, ARM7TDMI-class, ARM926-class, generic DSP) with
 the paper's library ladder and both complex blocks — the full
 (block × library × platform) cross-product through the batch engine.
@@ -41,13 +41,12 @@ def run_scenario() -> dict:
     from dataclasses import asdict
 
     from repro.api import MappingSession
-    from repro.mapping import MethodologyFlow
 
     # A bare session reads REPRO_CACHE_DIR/REPRO_NO_CACHE, which is how
     # the orchestrator selects the scenario's disk tier.
-    flow = MethodologyFlow(tiers=MappingSession().tiers)
+    session = MappingSession()
     start = time.perf_counter()
-    report = flow.sweep()
+    report = session.sweep()
     elapsed = time.perf_counter() - start
     rendered = report.to_json()
     return {
@@ -88,7 +87,7 @@ def test_multiplatform_sweep_benchmark(tmp_path, report, bench_output):
     warm_s = min(m["seconds"] for m in warm)
     payload = {
         "bench": "multiplatform_sweep",
-        "workload": "MethodologyFlow.sweep over all registered platforms "
+        "workload": "MappingSession.sweep over all registered platforms "
                     "(blocks x library ladder x platforms)",
         "available_cpus": os.cpu_count(),
         "platforms": cold[0]["platforms"],

@@ -23,18 +23,19 @@ import json
 import time
 from pathlib import Path
 
+from repro.api import MappingSession, SessionConfig
 from repro.library.builtin import full_library
-from repro.mapping import CacheTiers, MethodologyFlow, clear_shared_caches
+from repro.mapping import clear_shared_caches
 from repro.workload import DEFAULT_WORKLOAD_REGISTRY, get_workload
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = REPO_ROOT / "BENCH_workloads.json"
 
 
-def _sweep_once(key: str, blocks: dict, library, tiers: CacheTiers):
-    flow = MethodologyFlow(blocks=blocks, workload=key, tiers=tiers)
+def _sweep_once(key: str, blocks: dict, library, session: MappingSession):
     start = time.perf_counter()
-    sweep = flow.sweep(platforms=["SA-1110"], libraries=[library])
+    sweep = session.sweep(platforms=["SA-1110"], libraries=[library],
+                          blocks=blocks, workload=key)
     return time.perf_counter() - start, sweep
 
 
@@ -44,14 +45,15 @@ def test_per_workload_sweep_benchmark(report, bench_output):
     for key in DEFAULT_WORKLOAD_REGISTRY.names():
         entry = get_workload(key)
         clear_shared_caches()
-        tiers = CacheTiers()     # shared by the cold and the warm sweep
+        # Memory-only, shared by the cold and the warm sweep.
+        session = MappingSession(SessionConfig())
 
         start = time.perf_counter()
         blocks = entry.blocks()
         extract_s = time.perf_counter() - start
 
-        cold_s, cold = _sweep_once(key, blocks, library, tiers)
-        warm_s, warm = _sweep_once(key, blocks, library, tiers)
+        cold_s, cold = _sweep_once(key, blocks, library, session)
+        warm_s, warm = _sweep_once(key, blocks, library, session)
 
         cold_json = cold.to_json()
         assert cold.workload == key

@@ -19,8 +19,9 @@ Subpackages
     exact multivariate polynomials, Groebner bases, simplification
     modulo side relations, Horner forms, factorization, series.
 ``repro.frontend``
-    Target-code identification: restricted-Python AST -> expression
-    trees -> polynomials, with the paper's code transformations.
+    Target-code identification: restricted-Python kernels executed
+    symbolically straight into polynomials, with the paper's code
+    transformations.
 ``repro.library``
     Library characterization: elements annotated with I/O format,
     accuracy, performance, energy, and polynomial representation.

@@ -52,11 +52,12 @@ class SessionConfig:
     and cannot drift under it mid-request.  Derive variants with
     :meth:`with_options` (or :func:`dataclasses.replace`).
 
-    ``cache_dir``/``disk_cache`` govern the persistent tier;
-    ``decompose_lru``/``map_block_lru`` size the session's in-memory
-    caches; ``registry`` is the platform catalog requests resolve
-    against and ``workloads`` the workload catalog block names resolve
-    in; ``library``/``platform``/``workload``/``tolerance``/
+    ``cache_dir``/``disk_cache`` govern the persistent tier (the
+    in-memory LRUs have fixed sizes, see
+    :class:`~repro.mapping.cache.CacheTiers`); ``registry`` is the
+    platform catalog requests resolve against and ``workloads`` the
+    workload catalog block names resolve in;
+    ``library``/``platform``/``workload``/``tolerance``/
     ``accuracy_budget`` are the request defaults ``session.map()`` and
     friends fall back to; the wire's rule applies to the last two
     (tolerance finite and >= 0, budget >= 0 and not NaN).  Batches run
@@ -66,8 +67,6 @@ class SessionConfig:
 
     cache_dir: "str | os.PathLike[str] | None" = None
     disk_cache: bool = True
-    decompose_lru: int = 512
-    map_block_lru: int = 256
     registry: ProcessorRegistry = field(default=DEFAULT_REGISTRY, repr=False)
     workloads: WorkloadRegistry = field(default=DEFAULT_WORKLOAD_REGISTRY, repr=False)
     library: tuple[str, ...] = DEFAULT_LIBRARY
@@ -77,11 +76,6 @@ class SessionConfig:
     accuracy_budget: float = math.inf
 
     def __post_init__(self) -> None:
-        if self.decompose_lru <= 0 or self.map_block_lru <= 0:
-            raise ValueError(
-                f"LRU sizes must be positive, got decompose_lru="
-                f"{self.decompose_lru}, map_block_lru={self.map_block_lru}"
-            )
         if not self.library:
             raise ValueError("library must name at least one catalog tag")
         if not self.workload:

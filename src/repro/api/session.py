@@ -18,21 +18,27 @@ statistics, because each owns its
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, Mapping, Sequence
 
 from repro.api.catalog import ResourceCatalog
 from repro.api.config import SessionConfig
 from repro.api.types import MapRequest, MapResult, ParetoResult, VerifyResult
 from repro.api.types import checked_accuracy_budget, checked_tolerance
+from repro.errors import MappingError
 from repro.frontend.extract import TargetBlock
 from repro.library.catalog import Library
 from repro.mapping.batch import BatchItem, BatchReport, run_batch
 from repro.mapping.cache import CacheTiers, clear_shared_caches, shared_cache_stats
 from repro.mapping.decompose import DecomposeResult
-from repro.mapping.flow import MethodologyFlow, SweepReport
+from repro.mapping.flow import (
+    MethodologyFlow,
+    SweepEntry,
+    SweepReport,
+    _mapping_ladder,
+)
 from repro.mapping.pareto import BlockParetoResult
 from repro.platform.badge4 import Badge4
+from repro.platform.registry import duplicate_labels
 from repro.symalg.polynomial import Polynomial
 
 __all__ = ["MappingSession"]
@@ -71,19 +77,13 @@ class MappingSession:
         blocks: "Mapping[str, TargetBlock] | None" = None,
     ):
         self.config = config if config is not None else SessionConfig.from_env()
-        self.tiers = CacheTiers(
-            cache_dir=self.config.effective_cache_dir,
-            decompose_lru=self.config.decompose_lru,
-            map_block_lru=self.config.map_block_lru,
-        )
+        self.tiers = CacheTiers(cache_dir=self.config.effective_cache_dir)
         self.catalog = ResourceCatalog(
             blocks=blocks,
             registry=self.config.registry,
             workloads=self.config.workloads,
             default_workload=self.config.workload,
         )
-        self._flow: "MethodologyFlow | None" = None
-        self._flow_lock = threading.Lock()
 
     # -- resolution -------------------------------------------------------
     def _resolve_workload(self, workload) -> str:
@@ -313,74 +313,91 @@ class MappingSession:
     ) -> SweepReport:
         """Map every block against every library on every platform.
 
+        The full (platform × library × block) cross-product goes
+        through :meth:`batch` in one submission — deduplicated against
+        the session's tiers, cold remainder computed in-process — and
+        each cell comes back as a Pareto front over
+        (cycles, energy, accuracy), with the scalar cycles winner as
+        its projection.
+
+        ``platforms`` accepts registry keys and/or live platforms
+        (default: every registered processor, SA-1110 first);
         ``libraries`` accepts ``Library`` objects and/or combo strings
-        (``"REF+LM+IH"``); ``blocks`` accepts block names and/or a
+        (``"REF+LM+IH"``; default: the paper's ladder, LM+IH then
+        LM+IH+IPP over REF); ``blocks`` accepts block names and/or a
         ``{name: TargetBlock}`` mapping, resolved inside ``workload``
-        (default: the session's).  ``None`` everywhere means
-        "everything the catalog knows", with the paper's library
-        ladder.  Returns the canonical
-        :class:`~repro.mapping.flow.SweepReport` (byte-stable
-        ``to_json()``).
+        (default: the session's, whose whole block set is swept).
+        Returns the canonical :class:`~repro.mapping.flow.SweepReport`
+        (byte-stable ``to_json()``).
         """
         tolerance, accuracy_budget = self._knobs(tolerance, accuracy_budget)
         workload_key = self._resolve_workload(workload)
-        libs = None
-        if libraries is not None:
-            libs = []
-            for library in libraries:
-                if isinstance(library, Library):
-                    libs.append(library)
-                else:
-                    libs.append(self.catalog.library_combo(library))
-        # Blocks resolve through the catalog (memoized extraction) and
-        # travel to the flow as an explicit dict, so a non-default
-        # workload never re-extracts inside the flow.
+        resolved = self.config.registry.resolve(platforms)
+        if libraries is None:
+            libs = [library for _name, library in _mapping_ladder()]
+        else:
+            libs = [
+                lib if isinstance(lib, Library) else self.catalog.library_combo(lib)
+                for lib in libraries
+            ]
+        duplicates = duplicate_labels(lib.name for lib in libs)
+        if duplicates:
+            # Reports index cells by library name too; a shared name
+            # would silently shadow one library's results (same reason
+            # the registry rejects duplicate platform labels).
+            raise MappingError(
+                f"sweep libraries must have unique names; duplicates: {duplicates}"
+            )
         if blocks is None:
-            block_map = dict(self.catalog.blocks(workload_key))
+            block_map = self.catalog.blocks(workload_key)
         elif isinstance(blocks, Mapping):
             block_map = dict(blocks)
         else:
             block_map = {
                 name: self.catalog.block(name, workload_key) for name in blocks
             }
-        return self.flow().sweep(
-            platforms=platforms,
-            libraries=libs,
-            blocks=block_map,
-            tolerance=tolerance,
-            accuracy_budget=accuracy_budget,
+
+        cells = [
+            (label, platform, library, name, block)
+            for label, platform in resolved
+            for library in libs
+            for name, block in block_map.items()
+        ]
+        batch = self.batch(
+            BatchItem.for_block(
+                block,
+                library,
+                platform,
+                tolerance=tolerance,
+                accuracy_budget=accuracy_budget,
+            )
+            for _label, platform, library, _name, block in cells
+        )
+        entries = [
+            SweepEntry(
+                platform=label,
+                library=library.name,
+                block=name,
+                result=BlockParetoResult.from_matches(name, platform, matches),
+            )
+            for (label, platform, library, name, _block), (_winner, matches) in zip(
+                cells, batch.results
+            )
+        ]
+        return SweepReport(
+            platforms=tuple(label for label, _platform in resolved),
+            libraries=tuple(lib.name for lib in libs),
+            blocks=tuple(block_map),
+            entries=entries,
+            stats=batch.stats,
             workload=workload_key,
         )
 
-    def flow(
-        self,
-        platform: "Badge4 | None" = None,
-        critical_threshold_percent: float = 5.0,
-    ) -> MethodologyFlow:
-        """A session-bound :class:`~repro.mapping.flow.MethodologyFlow`.
-
-        Wired with this session's tiers, registry and block
-        catalog.  The default flow (no arguments) is memoized —
-        repeated :meth:`sweep` calls share one — while explicit
-        platform/threshold arguments build a fresh instance.
-        """
-        if platform is None and critical_threshold_percent == 5.0:
-            with self._flow_lock:
-                if self._flow is None:
-                    self._flow = self._build_flow(None, 5.0)
-                return self._flow
-        return self._build_flow(platform, critical_threshold_percent)
-
-    def _build_flow(self, platform, threshold) -> MethodologyFlow:
-        return MethodologyFlow(
-            platform=platform,
-            critical_threshold_percent=threshold,
-            blocks=self.catalog.blocks(),
-            tiers=self.tiers,
-            registry=self.config.registry,
-            workload=self.config.workload,
-            workloads=self.config.workloads,
-        )
+    def flow(self) -> MethodologyFlow:
+        """A :class:`~repro.mapping.flow.MethodologyFlow` bound to this
+        session: its passes resolve against the session's tiers and
+        map the session catalog's blocks."""
+        return MethodologyFlow(blocks=self.catalog.blocks(), tiers=self.tiers)
 
     def cache_counters(self) -> dict:
         """Flat, summable cache counters for cross-worker aggregation.

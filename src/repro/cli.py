@@ -214,60 +214,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_session_options(p_cache)
 
-    p_serve = sub.add_parser(
-        "serve", help="run the mapping service (HTTP/JSON front-end)"
-    )
-    p_serve.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default: %(default)s)"
-    )
-    p_serve.add_argument(
-        "--port",
-        type=int,
-        default=None,
-        help="bind port; 0 picks an ephemeral one (default: 8357)",
-    )
-    p_serve.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="fork N worker processes behind the port (the fleet "
-        "front; SIGHUP rolls them over one at a time; default: one "
-        "in-process service)",
-    )
-    p_serve.add_argument(
-        "--cache-dir",
-        default=None,
-        help="pin the persistent mapping cache tier to this directory",
-    )
-    p_serve.add_argument(
-        "--request-timeout",
-        type=float,
-        default=None,
-        help="per-request wall-clock bound, seconds; expiry answers "
-        "503 + Retry-After (default: 300)",
-    )
-    p_serve.add_argument(
-        "--max-inflight",
-        type=int,
-        default=None,
-        help="admission bound: shed requests past N in flight with "
-        "429 + Retry-After (default: unbounded)",
-    )
-    p_serve.add_argument(
-        "--retry-after",
-        type=float,
-        default=None,
-        help="seconds advertised in Retry-After on 429/503 sheds (default: 1)",
-    )
-    p_serve.add_argument(
-        "--drain-grace",
-        type=float,
-        default=None,
-        help="seconds SIGTERM waits for in-flight work before stopping "
-        "(default: 30)",
-    )
-    p_serve.add_argument(
-        "--verbose", action="store_true", help="debug-level logging"
+    # The service parser owns the serve flags: `repro serve` hands it
+    # every argument after the subcommand, `--help` included.
+    sub.add_parser(
+        "serve",
+        help="run the mapping service (HTTP/JSON front-end); "
+        "takes the flags of `python -m repro.service`",
+        add_help=False,
     )
 
     return parser
@@ -486,33 +439,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
-    # Delegate to the service's own entry point (one arg-handling
-    # path, one serve loop), re-rendering only the flags the user set
-    # so its defaults stay authoritative.
-    from repro.service.__main__ import main as serve_main
-
-    argv = ["--host", args.host]
-    if args.port is not None:
-        argv += ["--port", str(args.port)]
-    if args.workers is not None:
-        argv += ["--workers", str(args.workers)]
-    if args.cache_dir is not None:
-        argv += ["--cache-dir", args.cache_dir]
-    if args.request_timeout is not None:
-        argv += ["--request-timeout", str(args.request_timeout)]
-    if args.max_inflight is not None:
-        argv += ["--max-inflight", str(args.max_inflight)]
-    if args.retry_after is not None:
-        argv += ["--retry-after", str(args.retry_after)]
-    if args.drain_grace is not None:
-        argv += ["--drain-grace", str(args.drain_grace)]
-    if args.verbose:
-        argv += ["--verbose"]
-    serve_main(argv)
-    return 0
-
-
 _COMMANDS = {
     "map": _cmd_map,
     "pareto": _cmd_pareto,
@@ -522,14 +448,20 @@ _COMMANDS = {
     "workloads": _cmd_workloads,
     "platforms": _cmd_platforms,
     "cache": _cmd_cache,
-    "serve": _cmd_serve,
 }
 
 
 def main(argv: "list[str] | None" = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = parser.parse_known_args(argv)
+    if args.command == "serve":
+        from repro.service.__main__ import main as serve_main
+
+        serve_main(extra)
+        return 0
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
     if args.command is None:
         parser.print_help()
         return 2

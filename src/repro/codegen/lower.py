@@ -135,13 +135,18 @@ class _Lowerer:
         self.names = {name: name for name in inputs}
         self.instructions: list[Instr] = []
         self._memo: dict[tuple, str] = {}
+        self._temps = 0
 
     def _emit(self, op: str, args: tuple) -> str:
         key = (op,) + args
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        dest = f"t{len(self.instructions)}"
+        # Temporaries are t0, t1, ..., skipping any name in scope: an
+        # input called ``t0`` must not be overwritten by a temporary.
+        while (dest := f"t{self._temps}") in self.names:
+            self._temps += 1
+        self._temps += 1
         self.instructions.append(Instr(dest, op, args))
         self._memo[key] = dest
         return dest

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.codegen.fixedpt import element_formats
+from repro.codegen.fixedpt import element_formats, parse_format
 from repro.codegen.lower import lower_block, lower_match
 from repro.codegen.pysource import CompiledKernel, compile_kernel
 from repro.errors import CodegenError
@@ -115,13 +115,6 @@ def stimulus_for_block(
     return default_stimulus(n_inputs, name=block.name)
 
 
-def _reference_runner(block: TargetBlock) -> CompiledKernel:
-    """The block's own polynomials, exact float64 — the yardstick."""
-    from repro.codegen.fixedpt import parse_format
-    double = parse_format("double")
-    return compile_kernel(lower_block(block), double, double)
-
-
 def _run_vectors(
     compiled: CompiledKernel,
     inputs: tuple[str, ...],
@@ -146,28 +139,33 @@ def _snr_db(reference: np.ndarray, under_test: np.ndarray) -> float:
     return min(10.0 * math.log10(signal / noise), SNR_CAP_DB)
 
 
-def measure_match(
-    block: TargetBlock,
-    match: BlockMatch,
-    stimulus: "Sequence[Sequence[float]] | None" = None,
-) -> BlockMeasurement:
-    """Measure a mapped block's generated kernel against float64 truth.
-
-    Lowers both the match (element rows, element formats) and the block
-    itself (exact double), runs them on the same stimulus, and grades
-    the difference.
-    """
-    stimulus = tuple(stimulus) if stimulus is not None \
-        else stimulus_for_block(block)
-    if not stimulus:
+def _checked_stimulus(
+    block: TargetBlock, stimulus: "Sequence[Sequence[float]] | None"
+) -> tuple:
+    vectors = tuple(stimulus) if stimulus is not None else stimulus_for_block(block)
+    if not vectors:
         raise CodegenError(f"empty stimulus for block {block.name!r}")
+    return vectors
+
+
+def _reference_rows(block: TargetBlock, stimulus: tuple) -> np.ndarray:
+    """The block's own polynomials, exact float64, on ``stimulus`` — the
+    yardstick every generated kernel of the block is graded against."""
+    double = parse_format("double")
+    reference = compile_kernel(lower_block(block), double, double)
+    kernel = reference.kernel
+    return _run_vectors(reference, kernel.inputs, kernel.output_names, stimulus)
+
+
+def _grade(
+    block: TargetBlock, match: BlockMatch, stimulus: tuple, ref: np.ndarray
+) -> BlockMeasurement:
+    """Run the match's generated kernel on ``stimulus`` and grade it
+    against the reference rows ``ref``."""
     kernel = lower_match(block, match)
     in_fmt, out_fmt = element_formats(match.element)
     compiled = compile_kernel(kernel, in_fmt, out_fmt)
-    reference = _reference_runner(block)
-    names = reference.kernel.output_names
-    ref = _run_vectors(reference, reference.kernel.inputs, names, stimulus)
-    got = _run_vectors(compiled, kernel.inputs, names, stimulus)
+    got = _run_vectors(compiled, kernel.inputs, kernel.output_names, stimulus)
     report = check_compliance(ref, got)
     return BlockMeasurement(
         block=block.name,
@@ -184,6 +182,21 @@ def measure_match(
     )
 
 
+def measure_match(
+    block: TargetBlock,
+    match: BlockMatch,
+    stimulus: "Sequence[Sequence[float]] | None" = None,
+) -> BlockMeasurement:
+    """Measure a mapped block's generated kernel against float64 truth.
+
+    Lowers both the match (element rows, element formats) and the block
+    itself (exact double), runs them on the same stimulus, and grades
+    the difference.
+    """
+    vectors = _checked_stimulus(block, stimulus)
+    return _grade(block, match, vectors, _reference_rows(block, vectors))
+
+
 def match_measurer(
     block: TargetBlock,
     stimulus: "Sequence[Sequence[float]] | None" = None,
@@ -191,17 +204,18 @@ def match_measurer(
     """A per-match ``(measured_accuracy, snr_db)`` closure for
     :meth:`repro.mapping.pareto.BlockParetoResult.from_matches`.
 
-    The reference lowering and stimulus are shared across every match
-    of the block, so measuring a whole candidate list costs one
-    reference run plus one generated-kernel run per match.
-    ``measured_accuracy`` is the max absolute error — directly
-    comparable to the element's characterized ``accuracy`` bound.
+    The stimulus and the reference kernel's output rows are computed
+    once, here, and shared by every match of the block, so measuring a
+    whole candidate list costs one reference run plus one
+    generated-kernel run per match.  ``measured_accuracy`` is the max
+    absolute error — directly comparable to the element's
+    characterized ``accuracy`` bound.
     """
-    vectors = tuple(stimulus) if stimulus is not None \
-        else stimulus_for_block(block)
+    vectors = _checked_stimulus(block, stimulus)
+    ref = _reference_rows(block, vectors)
 
     def measure(match: BlockMatch) -> tuple[float, float]:
-        measurement = measure_match(block, match, stimulus=vectors)
+        measurement = _grade(block, match, vectors, ref)
         return measurement.max_error, measurement.snr_db
 
     return measure

@@ -62,9 +62,11 @@ class BatchItem:
 
     Build via :meth:`for_block` (multi-output block matching) or
     :meth:`for_target` (scalar Decompose search); both normalize the
-    knobs with the searches' own defaults, and resolve an omitted
-    platform to the default ``Badge4()``, so batch submissions and
-    direct session calls share cache lines.
+    knobs with the searches' own defaults, resolve an omitted platform
+    to the default ``Badge4()``, and build the item's cache ``key``
+    once, so batch submissions and direct session calls share cache
+    lines and a caller (the service's single-flight) can digest the
+    very key :func:`run_batch` resolves.
     """
 
     kind: str  # "map_block" | "decompose"
@@ -72,6 +74,7 @@ class BatchItem:
     library: Library
     platform: Badge4
     knobs: tuple[tuple[str, object], ...]
+    key: tuple
 
     @classmethod
     def for_block(
@@ -86,7 +89,8 @@ class BatchItem:
         """A block-matching item (the block-match work unit)."""
         knobs = (("accuracy_budget", accuracy_budget), ("tolerance", tolerance))
         platform = platform if platform is not None else Badge4()
-        return cls("map_block", block, library, platform, knobs)
+        key = _map_block_key(block, library, platform, tolerance, accuracy_budget)
+        return cls("map_block", block, library, platform, knobs, key)
 
     @classmethod
     def for_target(
@@ -100,9 +104,11 @@ class BatchItem:
         unknown = set(knobs) - set(_DECOMPOSE_DEFAULTS)
         if unknown:
             raise TypeError(f"unknown decompose knob(s): {sorted(unknown)}")
-        merged = tuple(sorted({**_DECOMPOSE_DEFAULTS, **knobs}.items()))
+        merged = {**_DECOMPOSE_DEFAULTS, **knobs}
         platform = platform if platform is not None else Badge4()
-        return cls("decompose", target, library, platform, merged)
+        key = _decompose_key(target, library, platform, **merged)
+        knobs = tuple(sorted(merged.items()))
+        return cls("decompose", target, library, platform, knobs, key)
 
 
 @dataclass
@@ -128,45 +134,14 @@ class BatchReport:
     stats: BatchStats = field(default_factory=BatchStats)
 
 
-def _item_key(item: BatchItem) -> tuple:
-    knobs = dict(item.knobs)
-    if item.kind == "map_block":
-        return _map_block_key(
-            item.payload,
-            item.library,
-            item.platform,
-            knobs["tolerance"],
-            knobs["accuracy_budget"],
-        )
-    return _decompose_key(
-        item.payload,
-        item.library,
-        item.platform,
-        knobs["tolerance"],
-        knobs["accuracy_budget"],
-        knobs["max_depth"],
-        knobs["max_nodes"],
-        knobs["use_hints"],
-        knobs["use_bounding"],
-    )
-
-
 def _compute(item: BatchItem) -> object:
     """The cold search for one item, as its LRU-shaped cache value.
 
     The caller has already keyed the item and missed both tiers, so
     this goes directly to the uncached search.
     """
-    knobs = dict(item.knobs)
-    if item.kind == "map_block":
-        return _map_block_uncached(
-            item.payload,
-            item.library,
-            item.platform,
-            knobs["tolerance"],
-            knobs["accuracy_budget"],
-        )
-    return _decompose_uncached(item.payload, item.library, item.platform, **knobs)
+    search = _map_block_uncached if item.kind == "map_block" else _decompose_uncached
+    return search(item.payload, item.library, item.platform, **dict(item.knobs))
 
 
 def _present(kind: str, value):
@@ -200,9 +175,9 @@ def run_batch(items: Iterable[BatchItem], *, tiers: CacheTiers) -> BatchReport:
     items = list(items)
     stats = BatchStats(submitted=len(items))
     tier = tiers.disk()
-    keys = [_item_key(item) for item in items]
     resolved: dict[tuple, object] = {}
-    for key, item in zip(keys, items):
+    for item in items:
+        key = item.key
         if key in resolved:
             continue
         stats.unique += 1
@@ -226,5 +201,5 @@ def run_batch(items: Iterable[BatchItem], *, tiers: CacheTiers) -> BatchReport:
                 tier.put(digest, value)
         resolved[key] = value
 
-    results = [_present(item.kind, resolved[key]) for key, item in zip(keys, items)]
+    results = [_present(item.kind, resolved[item.key]) for item in items]
     return BatchReport(results=results, stats=stats)

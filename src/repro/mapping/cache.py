@@ -560,6 +560,11 @@ class DiskCache:
 _DB_NAME = "mapping_cache.sqlite"
 
 
+#: Entries each session keeps in its decompose and block-match LRUs.
+DECOMPOSE_LRU_SIZE = 512
+MAP_BLOCK_LRU_SIZE = 256
+
+
 class CacheTiers:
     """The two mapping LRUs plus zero or one disk tier, as one object.
 
@@ -579,15 +584,9 @@ class CacheTiers:
     ['decompose', 'disk', 'map_block']
     """
 
-    def __init__(
-        self,
-        *,
-        cache_dir: "str | os.PathLike[str] | None" = None,
-        decompose_lru: int = 512,
-        map_block_lru: int = 256,
-    ):
-        self.decompose = LRUCache(decompose_lru, name="decompose")
-        self.map_block = LRUCache(map_block_lru, name="map_block")
+    def __init__(self, *, cache_dir: "str | os.PathLike[str] | None" = None):
+        self.decompose = LRUCache(DECOMPOSE_LRU_SIZE, name="decompose")
+        self.map_block = LRUCache(MAP_BLOCK_LRU_SIZE, name="map_block")
         self._disk = (
             None
             if cache_dir is None

@@ -16,16 +16,18 @@ Calling :meth:`run_passes` with the paper's library ladder (LM+IH, then
 LM+IH+IPP) regenerates Tables 4, 5 and 6 mechanically.
 
 A flow can be session-bound: :meth:`repro.api.MappingSession.flow`
-builds one wired to the session's cache tiers, registry and block
-catalog, so every pass resolves against session-owned state.
-A bare flow owns private memory-only tiers.
+builds one wired to the session's cache tiers and block catalog, so
+every pass resolves against session-owned state.  A bare flow owns
+private memory-only tiers.  The multi-platform sweep is the session's
+(:meth:`repro.api.MappingSession.sweep`); this module keeps its report
+types and the library ladder both share.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -46,7 +48,6 @@ from repro.mp3.decoder import DecoderConfig, Mp3Decoder
 from repro.mp3.synth_stream import EncodedStream
 from repro.platform.badge4 import Badge4
 from repro.platform.profiler import ProfileReport
-from repro.platform.registry import DEFAULT_REGISTRY, duplicate_labels
 from repro.workload import DEFAULT_WORKLOAD, DEFAULT_WORKLOAD_REGISTRY
 
 __all__ = [
@@ -135,7 +136,8 @@ class SweepEntry:
 
 @dataclass
 class SweepReport:
-    """Everything a multi-platform sweep produced.
+    """Everything a multi-platform sweep
+    (:meth:`repro.api.MappingSession.sweep`) produced.
 
     Entries are ordered (platform, library, block) — the submission
     order — and every front inside obeys the canonical Pareto ordering,
@@ -150,7 +152,7 @@ class SweepReport:
     stats: BatchStats
     #: The workload-registry key the swept blocks came from (the label
     #: only — explicit ``blocks`` overrides still sweep whatever was
-    #: passed, under the flow's workload label).
+    #: passed, under the requested workload's label).
     workload: str = DEFAULT_WORKLOAD
 
     def winners(self, platform: str) -> dict[tuple[str, str], str | None]:
@@ -228,9 +230,9 @@ def _mapping_ladder() -> list[tuple[str, Library]]:
     """The paper's mapping passes: (pass name, library) rungs.
 
     The single construction point for the evaluation ladder —
-    ``run_passes`` prepends the Original (REF-only) rung, the sweep
-    takes the libraries as its defaults — so the two flows cannot
-    drift apart.
+    ``run_passes`` prepends the Original (REF-only) rung, and
+    :meth:`repro.api.MappingSession.sweep` takes the libraries as its
+    defaults — so the pass loop and the sweep cannot drift apart.
     """
     base = [reference_library(), linux_math_library(), inhouse_library()]
     return [
@@ -239,30 +241,20 @@ def _mapping_ladder() -> list[tuple[str, Library]]:
     ]
 
 
-def _sweep_library_ladder() -> list[Library]:
-    """The default sweep libraries: the paper's two mapping passes."""
-    return [library for _name, library in _mapping_ladder()]
-
-
 class MethodologyFlow:
     """Drives characterize -> identify -> map on the MP3 decoder.
 
-    Each pass's critical blocks (and each sweep's cells) are submitted
-    to :func:`~repro.mapping.batch.run_batch` together, deduplicated
+    Each pass's critical blocks are submitted to
+    :func:`~repro.mapping.batch.run_batch` together, deduplicated
     against both cache tiers, and the cold remainder mapped
     in-process.
 
-    ``blocks`` overrides the extracted complex target blocks; sessions
-    inject their shared catalog so frontend extraction happens once
-    per process, not once per flow.  ``tiers`` binds the flow to an explicit
+    ``blocks`` overrides the extracted complex target blocks (the
+    ``mp3`` workload's); sessions inject their shared catalog so
+    frontend extraction happens once per process, not once per flow.
+    ``tiers`` binds the flow to an explicit
     :class:`~repro.mapping.cache.CacheTiers` (a session's); ``None``
-    gives the flow its own memory-only tiers.  ``registry`` is the
-    processor catalog :meth:`sweep` resolves platform keys against
-    (sessions pass their configured one; the default registry
-    otherwise); ``workloads`` the workload catalog block sets resolve
-    against, and ``workload`` the key naming this flow's default block
-    set (``"mp3"`` unless told otherwise — ``blocks`` overrides the
-    block *objects* while keeping the label).
+    gives the flow its own memory-only tiers.
     """
 
     def __init__(
@@ -271,22 +263,11 @@ class MethodologyFlow:
         critical_threshold_percent: float = 5.0,
         blocks: "Mapping[str, TargetBlock] | None" = None,
         tiers: "CacheTiers | None" = None,
-        registry=None,
-        workload: str | None = None,
-        workloads=None,
     ):
         self.platform = platform or Badge4()
         self.threshold = critical_threshold_percent
         self.tiers = tiers if tiers is not None else CacheTiers()
-        self.registry = registry if registry is not None else DEFAULT_REGISTRY
-        self.workloads = (
-            workloads if workloads is not None else DEFAULT_WORKLOAD_REGISTRY
-        )
-        self.workload = workload if workload is not None else DEFAULT_WORKLOAD
-        if blocks is not None:
-            self._blocks = dict(blocks)
-        else:
-            self._blocks = self.workloads.blocks(self.workload)
+        self._blocks = dict(blocks) if blocks is not None else methodology_blocks()
 
     # -- step 2: profiling ------------------------------------------------
     def profile(
@@ -369,96 +350,6 @@ class MethodologyFlow:
                 chosen[name] = element_name
         config = DecoderConfig(pass_name, huffman_grade=base.huffman_grade, **fields)
         return config, chosen
-
-    # -- multi-platform sweep ---------------------------------------------
-    def sweep(
-        self,
-        platforms: "Sequence[str | Badge4] | None" = None,
-        libraries: "Iterable[Library] | None" = None,
-        blocks: "Mapping[str, TargetBlock] | None" = None,
-        *,
-        workload: "str | None" = None,
-        tolerance: float = 1e-6,
-        accuracy_budget: float = float("inf"),
-    ) -> SweepReport:
-        """Map every block against every library on every platform.
-
-        The full (block × library × platform) cross-product goes
-        through the batch engine in one submission — deduplicated
-        against both cache tiers, cold remainder computed in-process —
-        and each cell comes back as a Pareto front over
-        (cycles, energy, accuracy), with the scalar cycles winner as
-        its projection.
-
-        ``platforms`` accepts registry keys (strings) and/or live
-        platform objects; the default is every registered processor
-        (SA-1110 first).  ``libraries`` defaults to the paper's ladder
-        (LM+IH, then LM+IH+IPP, both over REF); ``workload`` selects a
-        workload-registry block set (default: the flow's own, normally
-        ``mp3``), and an explicit ``blocks`` mapping overrides the
-        block objects while keeping the workload label.  The cache
-        tiers and processor registry are the flow's.
-        """
-        resolved = self.registry.resolve(platforms)
-        libs = list(libraries) if libraries is not None else _sweep_library_ladder()
-        duplicates = duplicate_labels(lib.name for lib in libs)
-        if duplicates:
-            # Reports index cells by library name too; a shared name
-            # would silently shadow one library's results (same reason
-            # the registry rejects duplicate platform labels).
-            raise MappingError(
-                f"sweep libraries must have unique names; duplicates: {duplicates}"
-            )
-        workload_key = workload if workload is not None else self.workload
-        if workload is not None:
-            self.workloads.get(workload_key)  # unknown keys fail fast
-        if blocks is not None:
-            block_map = dict(blocks)
-        elif workload_key == self.workload:
-            block_map = dict(self._blocks)
-        else:
-            block_map = self.workloads.blocks(workload_key)
-
-        coords: list[tuple[str, Badge4, str, str]] = []
-        items: list[BatchItem] = []
-        for label, platform in resolved:
-            for library in libs:
-                for block_name, block in block_map.items():
-                    coords.append((label, platform, library.name, block_name))
-                    items.append(
-                        BatchItem.for_block(
-                            block,
-                            library,
-                            platform,
-                            tolerance=tolerance,
-                            accuracy_budget=accuracy_budget,
-                        )
-                    )
-
-        batch = run_batch(items, tiers=self.tiers)
-
-        entries: list[SweepEntry] = []
-        for (label, platform, lib_name, block_name), (_winner, matches) in zip(
-            coords, batch.results
-        ):
-            entries.append(
-                SweepEntry(
-                    platform=label,
-                    library=lib_name,
-                    block=block_name,
-                    result=BlockParetoResult.from_matches(
-                        block_name, platform, matches
-                    ),
-                )
-            )
-        return SweepReport(
-            platforms=tuple(label for label, _ in resolved),
-            libraries=tuple(lib.name for lib in libs),
-            blocks=tuple(block_map),
-            entries=entries,
-            stats=batch.stats,
-            workload=workload_key,
-        )
 
     def _variant_cycles(self, stage_field: str, variant: str) -> float:
         from repro.library.builtin import _imdct_cost, _synthesis_cost

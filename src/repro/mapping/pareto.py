@@ -138,7 +138,7 @@ class BlockParetoResult:
         """Derive the front from a platform-priced match list.
 
         The single construction point for the derived-front contract:
-        both ``MappingSession.pareto`` and ``MethodologyFlow.sweep`` build
+        both ``MappingSession.pareto`` and ``MappingSession.sweep`` build
         their results here, so their fronts cannot drift apart.
 
         ``measure``, when given, maps each match to its measured

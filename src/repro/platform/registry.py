@@ -142,7 +142,7 @@ class ProcessorRegistry:
         ``platforms`` may hold registry keys (strings) and/or live
         platform objects; ``None`` selects every registered target in
         registration order.  This is the single resolution point of the
-        multi-platform entry point (``MethodologyFlow.sweep``), so a
+        multi-platform entry point (``MappingSession.sweep``), so a
         sweep's labeling can't drift from the registry's.
         """
         if platforms is None:

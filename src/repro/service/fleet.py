@@ -284,7 +284,6 @@ class FleetSupervisor:
                  max_inflight: "int | None" = None,
                  retry_after_hint: float = 1.0,
                  drain_grace: float = 30.0,
-                 respawn: bool = True,
                  respawn_backoff: float = 0.25,
                  respawn_backoff_cap: float = 5.0):
         if workers < 1:
@@ -305,7 +304,6 @@ class FleetSupervisor:
                         "max_inflight": max_inflight,
                         "retry_after_hint": retry_after_hint,
                         "drain_grace": drain_grace}
-        self._respawn = respawn
         self._respawn_backoff = respawn_backoff
         self._respawn_backoff_cap = respawn_backoff_cap
         self._owns_cache_dir = False
@@ -388,11 +386,9 @@ class FleetSupervisor:
         self._bind_internal()
         for index in range(self.workers):
             self._procs[index] = self._spawn(index)
-        if self._respawn:
-            self._monitor_thread = threading.Thread(
-                target=self._monitor, name="repro-fleet-monitor",
-                daemon=True)
-            self._monitor_thread.start()
+        self._monitor_thread = threading.Thread(
+            target=self._monitor, name="repro-fleet-monitor", daemon=True)
+        self._monitor_thread.start()
         logger.info("fleet up: %d workers on %s:%d (%s)", self.workers,
                     self.host, self.port, self.strategy)
 

@@ -37,15 +37,16 @@ Request lifecycle, stated once (and documented in
 2. **parse** — strict JSON validation into the request dataclasses of
    :mod:`repro.api.types`; malformed input answers 400, unknown
    resources 404, nothing heavy has run yet;
-3. **fingerprint** — the request resolves to the *same* cache key a
-   direct ``MappingSession.map`` call builds, digested with
-   :func:`~repro.mapping.cache.stable_digest`;
+3. **fingerprint** — the request resolves to the *same*
+   :class:`~repro.mapping.batch.BatchItem` a direct
+   ``MappingSession.map`` call builds, whose cache key (built once)
+   is digested with :func:`~repro.mapping.cache.stable_digest`;
 4. **single-flight** — concurrent identical requests coalesce onto one
    in-flight computation (:mod:`repro.service.singleflight`);
-5. **batch engine** — the flight leader dispatches the work off the
-   event loop onto a worker-thread executor, where it runs through
-   the session's :func:`~repro.mapping.batch.run_batch` (the only
-   code that reads or writes the cache tiers);
+5. **batch engine** — the flight leader dispatches that same item off
+   the event loop onto a worker-thread executor, where it runs
+   through the session's :func:`~repro.mapping.batch.run_batch` (the
+   only code that reads or writes the cache tiers);
 6. **cache write-through** — the engine merges results into the LRU
    and disk tiers, so the next identical request — this process or the
    next — is a cache hit, not a computation;
@@ -83,7 +84,6 @@ from repro.errors import ServiceError
 from repro.mapping.batch import BatchItem
 from repro.mapping.cache import (SCHEMA_VERSION, fingerprint_block,
                                  fingerprint_library, stable_digest)
-from repro.mapping.decompose import _map_block_key
 from repro.mapping.pareto import BlockParetoResult
 from repro.resilience import AdmissionController, inject
 from repro.service.metrics import BUCKET_BOUNDS_WIRE, MetricsRegistry
@@ -96,6 +96,12 @@ logger = logging.getLogger("repro.service")
 
 #: The service's conventional port (CI smoke and examples use it).
 DEFAULT_PORT = 8357
+
+#: Worker threads of the service-owned request executor.
+REQUEST_THREADS = 4
+
+#: The largest request body read; a longer one answers 413.
+MAX_REQUEST_BYTES = 1 << 20
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 413: "Payload Too Large",
@@ -116,7 +122,7 @@ class MappingService:
         :class:`concurrent.futures.Executor`) that heavy work is
         dispatched onto, keeping the event loop free.  Defaults to a
         service-owned :class:`~concurrent.futures.ThreadPoolExecutor`
-        of ``request_threads`` workers.  Injection is the test/bench
+        of :data:`REQUEST_THREADS` workers.  Injection is the test/bench
         seam: a gated executor makes coalescing deterministic.
     cache_dir:
         Pins the persistent disk tier for all service work.  Without
@@ -156,9 +162,7 @@ class MappingService:
                  *, executor=None,
                  cache_dir: "str | None" = None,
                  session: "MappingSession | None" = None,
-                 request_threads: int = 4,
                  request_timeout: float = 300.0,
-                 max_request_bytes: int = 1 << 20,
                  max_inflight: "int | None" = None,
                  retry_after_hint: float = 1.0,
                  drain_grace: float = 30.0,
@@ -166,14 +170,12 @@ class MappingService:
         self.host = host
         self.port = port
         self.request_timeout = request_timeout
-        self.max_request_bytes = max_request_bytes
         self.retry_after_hint = retry_after_hint
         self.drain_grace = drain_grace
         self.admission = AdmissionController(max_inflight)
         self.draining = False
         self.requests = 0
         self.errors = 0
-        self._request_threads = request_threads
         self._request_executor = executor
         self._owns_request_executor = executor is None
         self._server: "asyncio.base_events.Server | None" = None
@@ -216,7 +218,7 @@ class MappingService:
             raise RuntimeError("service already started")
         if self._request_executor is None:
             self._request_executor = ThreadPoolExecutor(
-                max_workers=self._request_threads,
+                max_workers=REQUEST_THREADS,
                 thread_name_prefix="repro-map")
         # Deliberately not via _offload: the injectable request
         # executor is a test seam (it may gate request work), and
@@ -389,7 +391,7 @@ class MappingService:
             length = int(headers.get("content-length", "0"))
         except ValueError:
             raise ServiceError(400, "malformed Content-Length") from None
-        if length < 0 or length > self.max_request_bytes:
+        if length < 0 or length > MAX_REQUEST_BYTES:
             raise ServiceError(413, "request body too large")
         body = b""
         if length:
@@ -500,46 +502,40 @@ class MappingService:
                                                 matches)
         return ParetoResult(request=request, result=result).to_payload()
 
-    def _map_key(self, request: MapRequest):
-        """``(cache key, block, library, platform)`` for one map or
-        pareto request — the same key a direct ``MappingSession.map``
-        call builds, which the single-flight layer digests with
-        ``stable_digest``."""
-        block = self.catalog.block(request.block, request.workload)
-        library = self.catalog.library(request.library)
-        platform = self.catalog.platform(request.platform)
-        key = _map_block_key(block, library, platform,
-                             request.tolerance, request.accuracy_budget)
-        return key, block, library, platform
+    def _map_item(self, request: MapRequest) -> BatchItem:
+        """The batch item of one map, pareto or verify request: the
+        item (and so the cache key) a direct ``MappingSession.map``
+        call builds; its ``key`` is what single-flight digests."""
+        return BatchItem.for_block(
+            self.catalog.block(request.block, request.workload),
+            self.catalog.library(request.library),
+            self.catalog.platform(request.platform),
+            tolerance=request.tolerance,
+            accuracy_budget=request.accuracy_budget)
 
     async def _resolve_map(self, request: MapRequest):
         """Steps 2–5 of the request lifecycle for one block mapping."""
-        key, block, library, platform = self._map_key(request)
+        item = self._map_item(request)
         winner, matches = await self.flight.run(
-            stable_digest(key),
-            lambda: self._offload(self._map_work, request, block,
-                                  library, platform))
-        return winner, matches, platform
+            stable_digest(item.key),
+            lambda: self._offload(self._map_work, item))
+        return winner, matches, item.platform
 
-    def _map_work(self, request: MapRequest, block, library, platform):
+    def _map_work(self, item: BatchItem):
         # The dispatch fault site fires on the executor thread: an
         # injected delay stalls the *work* (surfacing as a clean 503
         # timeout), never the event loop.
         inject("service.dispatch")
-        report = self.session.batch(
-            [BatchItem.for_block(block, library, platform,
-                                 tolerance=request.tolerance,
-                                 accuracy_budget=request.accuracy_budget)])
-        return report.results[0]
+        return self.session.batch([item]).results[0]
 
     async def _post_verify(self, payload) -> dict:
         request = MapRequest.from_payload(payload)
-        key, _block, _library, platform = self._map_key(request)
+        item = self._map_item(request)
         # Cached and coalesced by content, rendered per request: the
         # library key ignores tag order, so a cached *response* would
         # answer ["IH", "LM"] with the "LM+IH" label of whoever came
         # first.  The workload picks the stimulus, so it is content.
-        digest = stable_digest(("verify", request.workload) + key)
+        digest = stable_digest(("verify", request.workload) + item.key)
         if digest in self._verify_cache:
             measurement = self._verify_cache[digest]
         else:
@@ -549,7 +545,7 @@ class MappingService:
             if len(self._verify_cache) >= 1024:
                 self._verify_cache.pop(next(iter(self._verify_cache)))
             self._verify_cache[digest] = measurement
-        return VerifyResult(request=request, platform=platform,
+        return VerifyResult(request=request, platform=item.platform,
                             measurement=measurement).to_payload()
 
     def _verify_work(self, request: MapRequest):
@@ -592,8 +588,7 @@ class MappingService:
     def _sweep_work(self, request: SweepRequest, platform_keys,
                     libraries, blocks):
         inject("service.dispatch")
-        # The session's memoized flow: bound to its tiers and catalog.
-        return self.session.flow().sweep(
+        return self.session.sweep(
             platforms=list(platform_keys), libraries=libraries,
             blocks=blocks, tolerance=request.tolerance,
             accuracy_budget=request.accuracy_budget,

@@ -3,11 +3,11 @@
 The methodology's "target code" made data: each :class:`Workload`
 declares its critical blocks (name, shape, description, frontend
 builder) and registers under a short stable key, mirroring the
-processor registry.  Every mapping surface — ``MethodologyFlow``,
-``MappingSession``, the CLI (``repro map --workload jpeg_idct``,
-``repro workloads``) and the service (``/v1/workloads``, the
-``workload`` request field) — resolves workload keys against the
-default registry built here.
+processor registry.  Every mapping surface — ``MappingSession``
+(``map``, ``pareto``, ``verify``, ``sweep``), the CLI (``repro map
+--workload jpeg_idct``, ``repro workloads``) and the service
+(``/v1/workloads``, the ``workload`` request field) — resolves
+workload keys against the default registry built here.
 
 Built-in entries, in registration order:
 

@@ -219,3 +219,21 @@ class TestOtherCommands:
 
     def test_parser_prog_is_repro(self):
         assert build_parser().prog == "repro"
+
+    def test_serve_help_is_the_service_parsers(self, capsys):
+        from repro.service.__main__ import _parser
+
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == _parser().format_help()
+
+    @pytest.mark.parametrize("argv", [
+        ["platforms", "--port", "0"],
+        ["map", "inv_mdctL", "extra"],
+    ], ids=["unknown-flag", "extra-positional"])
+    def test_other_commands_reject_unknown_arguments(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "error: unrecognized arguments:" in capsys.readouterr().err

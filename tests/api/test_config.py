@@ -51,12 +51,6 @@ class TestPrecedence:
 
 
 class TestValidation:
-    def test_lru_sizes_must_be_positive(self):
-        with pytest.raises(ValueError):
-            SessionConfig(decompose_lru=0)
-        with pytest.raises(ValueError):
-            SessionConfig(map_block_lru=-1)
-
     def test_workers_is_not_a_setting(self):
         with pytest.raises(TypeError):
             SessionConfig(workers=2)
@@ -97,7 +91,7 @@ class TestImmutability:
 
     def test_with_options_returns_a_new_config(self):
         base = SessionConfig()
-        derived = base.with_options(map_block_lru=64)
-        assert derived.map_block_lru == 64
-        assert base.map_block_lru == 256
+        derived = base.with_options(workload="dsp")
+        assert derived.workload == "dsp"
+        assert base.workload == "mp3"
         assert derived is not base

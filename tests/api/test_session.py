@@ -168,15 +168,12 @@ class TestKnobValidation:
 
 
 class TestFlowBinding:
-    def test_flow_is_session_bound_and_memoized(self):
-        session = _session()
+    def test_flow_is_session_bound(self):
+        block = tiny_block()
+        session = MappingSession(SessionConfig(), blocks={"tiny_butterfly": block})
         flow = session.flow()
-        assert flow is session.flow()
         assert flow.tiers is session.tiers
-
-    def test_explicit_flow_arguments_build_fresh(self):
-        session = _session()
-        assert session.flow(critical_threshold_percent=7.5) is not session.flow()
+        assert flow._blocks == {"tiny_butterfly": block}
 
     def test_sweep_resolves_against_the_session_registry(self):
         """A session's custom registry reaches the sweep (not just

@@ -203,17 +203,9 @@ EXPECTED_CLI = {
         "--json",
         "action",
     ],
-    "serve": [
-        "--cache-dir",
-        "--drain-grace",
-        "--host",
-        "--max-inflight",
-        "--port",
-        "--request-timeout",
-        "--retry-after",
-        "--verbose",
-        "--workers",
-    ],
+    # `repro serve` declares no flags of its own: it hands its
+    # arguments to the service's parser (see tests/api/test_cli.py).
+    "serve": [],
 }
 
 

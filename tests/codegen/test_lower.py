@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
+from repro.codegen.fixedpt import interpret, parse_format
 from repro.codegen.lower import (
     Instr,
     block_inputs,
@@ -14,7 +15,9 @@ from repro.codegen.lower import (
     lower_polynomials,
     lower_solution,
 )
+from repro.codegen.pysource import compile_kernel
 from repro.errors import CodegenError
+from repro.frontend import SymbolicInput, extract_block
 from repro.library import LibraryElement, full_library
 from repro.mapping import Instantiation, MappingSolution
 from repro.platform import OperationTally
@@ -144,6 +147,26 @@ class TestEvaluate:
     def test_lowered_polynomial_evaluates_identically(self, p, point):
         kernel = lower_polynomials("p", {"out": p}, VARIABLES)
         assert kernel.evaluate(point)["out"] == p.evaluate(point)
+
+
+def _temp_named_kernels():
+    t0, t1 = symbols("t0 t1")
+    block = extract_block("def k(t0, t1):\n    return t0 * t1 + t0\n",
+                          [SymbolicInput("t0"), SymbolicInput("t1")])
+    return [lower_polynomials("k", {"out": t0 * t1 + t0}, ("t0", "t1")),
+            lower_block(block)]
+
+
+@pytest.mark.parametrize("kernel", _temp_named_kernels(),
+                         ids=["polynomial", "extracted_block"])
+def test_inputs_named_like_temporaries_are_not_overwritten(kernel):
+    """Temporaries skip names in scope: at (2, 3), t0*t1 + t0 is 8."""
+    double = parse_format("double")
+    (out,) = kernel.output_names
+    assert kernel.evaluate({"t0": 2, "t1": 3})[out] == 8
+    assert interpret(kernel, double, double, {"t0": 2, "t1": 3})[out] == 8.0
+    compiled = compile_kernel(kernel, double, double)
+    assert compiled.run({"t0": 2.0, "t1": 3.0})[out] == 8.0
 
 
 class TestLowerBlock:

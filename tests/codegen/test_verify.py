@@ -126,6 +126,37 @@ class TestMeasureMatch:
         assert (max_error, snr_db) == \
             (reference.max_error, reference.snr_db)
 
+    def test_match_measurer_builds_one_reference_kernel(self, monkeypatch):
+        """A measured front lowers and compiles the block's reference
+        once, plus one generated kernel per match, and grades each point
+        exactly as ``measure_match`` does."""
+        import repro.codegen.verify as verify
+        from repro.api import MappingSession, SessionConfig
+
+        calls = {"lower_block": 0, "compile_kernel": 0}
+
+        def counted(name):
+            real = getattr(verify, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(verify, name, counted(name))
+        session = MappingSession(SessionConfig())
+        result = session.pareto("fir16", workload="dsp", measure=True)
+        assert len(result.result.matches) >= 2
+        assert calls == {"lower_block": 1,
+                         "compile_kernel": len(result.result.matches) + 1}
+        block = session.blocks("dsp")["fir16"]
+        stimulus = stimulus_for_block(block, "dsp")
+        for point in result.front:
+            m = measure_match(block, point.match, stimulus=stimulus)
+            assert (point.objectives.measured_accuracy,
+                    point.objectives.snr_db) == (m.max_error, m.snr_db)
+
     def test_explicit_stimulus_changes_the_measurement(self):
         block, winner, _ = _mapped()
         tiny = tuple(tuple(0.0 for _ in range(18)) for _ in range(4))

@@ -99,14 +99,15 @@ class TestSerialBatch:
         assert report.stats == BatchStats()
 
     def test_dedup_does_not_lean_on_the_lru(self):
-        """Duplicates fold inside one batch even when the LRU is too
-        small to keep the first copy's value."""
-        session = _session(decompose_lru=1)
+        """Duplicates fold inside one batch before the LRU is read: a
+        repeat that reached the LRU would count as a memory hit."""
+        session = _session()
         a = BatchItem.for_target(x ** 2 - 2 * y, _demo_library(), PLATFORM)
         b = BatchItem.for_target(x + x ** 3 * y ** 2 - 2 * x * y ** 3,
                                  _demo_library(), PLATFORM)
         report = session.batch([a, b, a, b])
         assert report.stats.unique == report.stats.computed == 2
+        assert report.stats.memory_hits == 0
         assert _comparable(report.results[2]) == \
             _comparable(report.results[0])
         assert _comparable(report.results[3]) == \

@@ -13,8 +13,8 @@ from repro.api import MappingSession, SessionConfig
 from repro.library import (Library, inhouse_library, linux_math_library,
                            reference_library)
 from repro.library.builtin import full_library
-from repro.mapping import (MethodologyFlow, Objectives, ParetoPoint,
-                           methodology_blocks, pareto_front, score_match)
+from repro.mapping import (Objectives, ParetoPoint, methodology_blocks,
+                           pareto_front, score_match)
 from repro.platform import Badge4, platform_named, registered_processors
 
 THREE_PLATFORMS = ("SA-1110", "ARM926", "DSP")
@@ -138,7 +138,7 @@ class TestMapBlockPareto:
 
 class TestSweep:
     def test_three_platform_sweep_shape(self):
-        report = MethodologyFlow().sweep(platforms=list(THREE_PLATFORMS))
+        report = _session().sweep(platforms=list(THREE_PLATFORMS))
         assert report.platforms == THREE_PLATFORMS
         assert len(report.libraries) == 2
         assert len(report.blocks) == 2
@@ -148,7 +148,7 @@ class TestSweep:
             assert entry.winner_name is not None
 
     def test_sa1110_projection_reproduces_single_platform_winners(self):
-        report = MethodologyFlow().sweep(platforms=["SA-1110"])
+        report = _session().sweep(platforms=["SA-1110"])
         blocks = methodology_blocks()
         platform = Badge4()
         session = _session()
@@ -160,7 +160,7 @@ class TestSweep:
             assert entry.winner_name == winner.element.name
 
     def test_full_pass_winners_match_the_flow_tables(self):
-        report = MethodologyFlow().sweep(platforms=["SA-1110"])
+        report = _session().sweep(platforms=["SA-1110"])
         winners = report.winners("SA-1110")
         full_name = _ladder()[1].name
         assert winners[("inv_mdctL", full_name)] == "IppsMDCTInv_MP3_32s"
@@ -168,19 +168,19 @@ class TestSweep:
             "ippsSynthPQMF_MP3_32s16s"
 
     def test_defaults_cover_every_registered_platform(self):
-        report = MethodologyFlow().sweep()
+        report = _session().sweep()
         assert report.platforms == tuple(registered_processors())
         assert len(report.platforms) >= 4
 
     def test_accepts_live_platform_objects_with_registry_labels(self):
         """A live object whose spec is registered gets the registry key,
         so key-based and object-based selections label identically."""
-        report = MethodologyFlow().sweep(platforms=[Badge4()])
+        report = _session().sweep(platforms=[Badge4()])
         assert report.platforms == ("SA-1110",)
         assert report.winners("SA-1110")
 
     def test_winners_rejects_unswept_platform(self):
-        report = MethodologyFlow().sweep(platforms=["SA-1110"])
+        report = _session().sweep(platforms=["SA-1110"])
         with pytest.raises(KeyError, match="ARM926"):
             report.winners("ARM926")
 
@@ -190,19 +190,19 @@ class TestSweep:
                              inhouse_library())
         assert twin.name == lm_ih.name
         with pytest.raises(MappingError, match="unique names"):
-            MethodologyFlow().sweep(platforms=["SA-1110"],
-                                    libraries=[lm_ih, twin])
+            _session().sweep(platforms=["SA-1110"],
+                             libraries=[lm_ih, twin])
 
     def test_format_report_lists_every_platform(self):
-        report = MethodologyFlow().sweep(platforms=list(THREE_PLATFORMS))
+        report = _session().sweep(platforms=list(THREE_PLATFORMS))
         text = report.format_report()
         for platform in THREE_PLATFORMS:
             assert f"== {platform} ==" in text
 
 
 def _ladder():
-    from repro.mapping.flow import _sweep_library_ladder
-    return _sweep_library_ladder()
+    from repro.mapping.flow import _mapping_ladder
+    return [library for _name, library in _mapping_ladder()]
 
 
 class TestSweepParity:
@@ -210,16 +210,15 @@ class TestSweepParity:
             self, tmp_path, blocks):
         session = MappingSession(SessionConfig(cache_dir=tmp_path),
                                  blocks=blocks)
-        flow = session.flow()
-        cold = flow.sweep(platforms=list(THREE_PLATFORMS))
+        cold = session.sweep(platforms=list(THREE_PLATFORMS))
         assert cold.stats.computed == cold.stats.unique > 0
         session.tiers.clear_memory()           # memory cold, disk warm
-        warm = flow.sweep(platforms=list(THREE_PLATFORMS))
+        warm = session.sweep(platforms=list(THREE_PLATFORMS))
         assert warm.stats.computed == 0
         assert warm.stats.disk_hits == warm.stats.unique
         assert warm.to_json() == cold.to_json()
 
     def test_json_is_deterministic_across_calls(self):
-        report = MethodologyFlow().sweep(platforms=["ARM926"])
-        again = MethodologyFlow().sweep(platforms=["ARM926"])
+        report = _session().sweep(platforms=["ARM926"])
+        again = _session().sweep(platforms=["ARM926"])
         assert report.to_json() == again.to_json()

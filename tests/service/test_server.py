@@ -2,6 +2,7 @@
 byte parity, graceful shutdown."""
 
 import http.client
+import importlib
 import json
 import threading
 import time
@@ -11,7 +12,6 @@ import pytest
 
 from repro.api import MappingSession, SessionConfig
 from repro.errors import ServiceError
-from repro.mapping import MethodologyFlow
 from repro.platform.registry import DEFAULT_REGISTRY
 from repro.service import MappingService, ServiceClient, ServiceThread
 
@@ -142,8 +142,7 @@ class TestRoundTrips:
         status, body = client.request_bytes(
             "POST", "/v1/sweep", {"platforms": ["SA-1110", "DSP"]})
         assert status == 200
-        flow = MethodologyFlow(blocks=service.catalog.blocks())
-        report = flow.sweep(platforms=["SA-1110", "DSP"])
+        report = _direct_session(service).sweep(platforms=["SA-1110", "DSP"])
         assert body == report.to_json().encode("ascii")
 
     def test_stats_shape(self, live_service):
@@ -161,6 +160,26 @@ class TestRoundTrips:
         second = client.request_bytes("POST", "/v1/map", payload)
         assert first == second
         assert first[0] == 200
+
+    def test_warm_map_builds_its_cache_key_once(self, live_service,
+                                                monkeypatch):
+        """Single-flight digests the key of the very batch item the
+        service submits, so a warm request keys its match once."""
+        # The package re-exports the function under the module's name.
+        decompose_mod = importlib.import_module("repro.mapping.decompose")
+        _service, client = live_service
+        payload = {"block": "inv_mdctL", "platform": "ARM926"}
+        assert client.request_bytes("POST", "/v1/map", payload)[0] == 200
+        real = decompose_mod.fingerprint_library
+        calls = []
+
+        def counted(library):
+            calls.append(library)
+            return real(library)
+
+        monkeypatch.setattr(decompose_mod, "fingerprint_library", counted)
+        assert client.request_bytes("POST", "/v1/map", payload)[0] == 200
+        assert len(calls) == 1
 
 
 class TestSessionWiring:

@@ -27,7 +27,7 @@ The contract, in check order:
 from repro.api import MappingSession, SessionConfig
 from repro.frontend.extract import TargetBlock
 from repro.library.builtin import full_library
-from repro.mapping import MethodologyFlow, decompose, fingerprint_block
+from repro.mapping import decompose, fingerprint_block
 from repro.platform import Badge4
 from repro.workload import WorkloadEntry
 
@@ -174,11 +174,13 @@ class WorkloadConformance:
 
     # -- 7: sweep bytes -------------------------------------------------
     def check_sweep_json_is_byte_reproducible(self) -> None:
+        session = MappingSession(SessionConfig())   # cold, then warm
+
         def one_sweep() -> str:
-            flow = MethodologyFlow(blocks=self.blocks,
+            report = session.sweep(platforms=["SA-1110"],
+                                   libraries=[self.library],
+                                   blocks=self.blocks,
                                    workload=self.entry.key)
-            report = flow.sweep(platforms=["SA-1110"],
-                                libraries=[self.library])
             assert report.workload == self.entry.key
             return report.to_json()
 
