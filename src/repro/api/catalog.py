@@ -124,14 +124,6 @@ class ResourceCatalog:
             )
         return blocks[name]
 
-    def block_subset(
-        self, names, workload: "str | None" = None
-    ) -> "dict[str, TargetBlock]":
-        """``{name: block}`` for ``names`` (``None`` = the whole workload)."""
-        if names is None:
-            return dict(self.blocks(workload))
-        return {name: self.block(name, workload) for name in names}
-
     # -- libraries ------------------------------------------------------
     def library(self, tags: tuple) -> Library:
         """The (memoized) union library of catalog ``tags``."""

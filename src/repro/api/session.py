@@ -332,6 +332,8 @@ class MappingSession:
         """
         tolerance, accuracy_budget = self._knobs(tolerance, accuracy_budget)
         workload_key = self._resolve_workload(workload)
+        # Unknown keys fail fast (404), as in map; live platforms pass.
+        self.catalog.platform_keys([p for p in platforms or () if isinstance(p, str)])
         resolved = self.config.registry.resolve(platforms)
         if libraries is None:
             libs = [library for _name, library in _mapping_ladder()]

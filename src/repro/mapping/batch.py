@@ -62,11 +62,12 @@ class BatchItem:
 
     Build via :meth:`for_block` (multi-output block matching) or
     :meth:`for_target` (scalar Decompose search); both normalize the
-    knobs with the searches' own defaults, resolve an omitted platform
-    to the default ``Badge4()``, and build the item's cache ``key``
-    once, so batch submissions and direct session calls share cache
-    lines and a caller (the service's single-flight) can digest the
-    very key :func:`run_batch` resolves.
+    knobs with the searches' own defaults and resolve an omitted
+    platform to the default ``Badge4()``, so batch submissions and
+    direct session calls share cache lines.  The cache ``key`` is
+    derived from the other fields once, at construction, so a caller
+    (the service's single-flight) can digest the very key
+    :func:`run_batch` resolves, and no item can carry another's key.
     """
 
     kind: str  # "map_block" | "decompose"
@@ -74,7 +75,12 @@ class BatchItem:
     library: Library
     platform: Badge4
     knobs: tuple[tuple[str, object], ...]
-    key: tuple
+    key: tuple = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        make_key = _map_block_key if self.kind == "map_block" else _decompose_key
+        key = make_key(self.payload, self.library, self.platform, **dict(self.knobs))
+        object.__setattr__(self, "key", key)
 
     @classmethod
     def for_block(
@@ -89,8 +95,7 @@ class BatchItem:
         """A block-matching item (the block-match work unit)."""
         knobs = (("accuracy_budget", accuracy_budget), ("tolerance", tolerance))
         platform = platform if platform is not None else Badge4()
-        key = _map_block_key(block, library, platform, tolerance, accuracy_budget)
-        return cls("map_block", block, library, platform, knobs, key)
+        return cls("map_block", block, library, platform, knobs)
 
     @classmethod
     def for_target(
@@ -104,11 +109,9 @@ class BatchItem:
         unknown = set(knobs) - set(_DECOMPOSE_DEFAULTS)
         if unknown:
             raise TypeError(f"unknown decompose knob(s): {sorted(unknown)}")
-        merged = {**_DECOMPOSE_DEFAULTS, **knobs}
+        merged = tuple(sorted({**_DECOMPOSE_DEFAULTS, **knobs}.items()))
         platform = platform if platform is not None else Badge4()
-        key = _decompose_key(target, library, platform, **merged)
-        knobs = tuple(sorted(merged.items()))
-        return cls("decompose", target, library, platform, knobs, key)
+        return cls("decompose", target, library, platform, merged)
 
 
 @dataclass

@@ -40,7 +40,8 @@ Request lifecycle, stated once (and documented in
 3. **fingerprint** — the request resolves to the *same*
    :class:`~repro.mapping.batch.BatchItem` a direct
    ``MappingSession.map`` call builds, whose cache key (built once)
-   is digested with :func:`~repro.mapping.cache.stable_digest`;
+   is digested with :func:`~repro.mapping.cache.stable_digest` (a
+   sweep digests its canonical request; the session keys its cells);
 4. **single-flight** — concurrent identical requests coalesce onto one
    in-flight computation (:mod:`repro.service.singleflight`);
 5. **batch engine** — the flight leader dispatches that same item off
@@ -70,6 +71,7 @@ service tier too.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import inspect
 import json
 import logging
@@ -82,8 +84,7 @@ from repro.api import (MappingSession, MapRequest, MapResult, ParetoResult,
                        canonical_json)
 from repro.errors import ServiceError
 from repro.mapping.batch import BatchItem
-from repro.mapping.cache import (SCHEMA_VERSION, fingerprint_block,
-                                 fingerprint_library, stable_digest)
+from repro.mapping.cache import SCHEMA_VERSION, stable_digest
 from repro.mapping.pareto import BlockParetoResult
 from repro.resilience import AdmissionController, inject
 from repro.service.metrics import BUCKET_BOUNDS_WIRE, MetricsRegistry
@@ -505,7 +506,8 @@ class MappingService:
     def _map_item(self, request: MapRequest) -> BatchItem:
         """The batch item of one map, pareto or verify request: the
         item (and so the cache key) a direct ``MappingSession.map``
-        call builds; its ``key`` is what single-flight digests."""
+        call builds; its ``key`` is what single-flight digests.  Map
+        and pareto submit it; verify only digests it."""
         return BatchItem.for_block(
             self.catalog.block(request.block, request.workload),
             self.catalog.library(request.library),
@@ -561,36 +563,22 @@ class MappingService:
 
     async def _post_sweep(self, payload) -> dict:
         request = SweepRequest.from_payload(payload)
-        platform_keys = self.catalog.platform_keys(request.platforms)
-        libraries = None
-        if request.libraries is not None:
-            libraries = [self.catalog.library_combo(combo)
-                         for combo in request.libraries]
-        blocks = self.catalog.block_subset(request.blocks, request.workload)
-        # The workload key and the library combo strings are part of the
-        # coalescing key even though the fingerprints cover the work:
-        # the report *labels* itself with both (and library content
-        # ignores tag order), so same-work/different-label requests
-        # must not share a flight.
-        key = ("service_sweep", request.workload, platform_keys,
-               tuple(fingerprint_library(lib) for lib in libraries or ()),
-               request.libraries,
-               tuple(fingerprint_block(b) for b in blocks.values()),
-               request.tolerance, request.accuracy_budget)
+        # The catalog is fixed for the life of the process, so the
+        # canonical request names the work and the labels its report
+        # carries: equal requests share a flight, and the session
+        # resolves (and keys) the sweep's cells once, inside it.
         report = await self.flight.run(
-            stable_digest(key),
-            lambda: self._offload(self._sweep_work, request,
-                                  platform_keys, libraries, blocks))
+            stable_digest(("service_sweep",) + dataclasses.astuple(request)),
+            lambda: self._offload(self._sweep_work, request))
         # Round-tripping through to_json() keeps the sweep's own
         # byte-parity guarantee.
         return json.loads(report.to_json())
 
-    def _sweep_work(self, request: SweepRequest, platform_keys,
-                    libraries, blocks):
+    def _sweep_work(self, request: SweepRequest):
         inject("service.dispatch")
         return self.session.sweep(
-            platforms=list(platform_keys), libraries=libraries,
-            blocks=blocks, tolerance=request.tolerance,
+            platforms=request.platforms, libraries=request.libraries,
+            blocks=request.blocks, tolerance=request.tolerance,
             accuracy_budget=request.accuracy_budget,
             workload=request.workload)
 

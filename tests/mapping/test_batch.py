@@ -1,6 +1,6 @@
 """Tests for the batch-mapping engine (repro.mapping.batch)."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
@@ -11,7 +11,7 @@ from repro.library.builtin import (inhouse_library, linux_math_library,
                                    reference_library)
 from repro.mapping import (BatchItem, BatchStats, CacheTiers,
                            MethodologyFlow, run_batch)
-from repro.platform import Badge4
+from repro.platform import Badge4, platform_named
 from repro.symalg import symbols
 from repro.workload.mp3 import imdct_block, matrixing_block
 
@@ -230,6 +230,25 @@ class TestBatchItemValidation:
         with pytest.raises(TypeError):
             BatchItem.for_block(imdct_block(), full_library(),
                                 PLATFORM, bogus_knob=1)
+
+    def test_key_is_derived_from_the_items_fields(self):
+        """No item can carry another's key: one rebuilt with another
+        platform or knob names that item's cache line."""
+        item = BatchItem.for_block(imdct_block(), full_library(), PLATFORM)
+        dsp = platform_named("DSP")
+        moved = replace(item, platform=dsp)
+        assert moved.key != item.key
+        assert moved.key == BatchItem.for_block(imdct_block(), full_library(),
+                                                dsp).key
+        target = BatchItem.for_target(x ** 2 - 2 * y, _demo_library(), PLATFORM)
+        deeper = replace(target, knobs=BatchItem.for_target(
+            x ** 2 - 2 * y, _demo_library(), PLATFORM, max_depth=4).knobs)
+        assert deeper.key == BatchItem.for_target(
+            x ** 2 - 2 * y, _demo_library(), PLATFORM, max_depth=4).key
+        assert deeper.key != target.key
+        with pytest.raises(TypeError):
+            BatchItem("map_block", imdct_block(), full_library(), PLATFORM,
+                      item.knobs, item.key)
 
     def test_knob_defaults_match_entry_points(self):
         """Batch submissions must share cache lines with direct calls."""

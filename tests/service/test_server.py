@@ -4,6 +4,7 @@ byte parity, graceful shutdown."""
 import http.client
 import importlib
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -180,6 +181,35 @@ class TestRoundTrips:
         monkeypatch.setattr(decompose_mod, "fingerprint_library", counted)
         assert client.request_bytes("POST", "/v1/map", payload)[0] == 200
         assert len(calls) == 1
+
+    def test_warm_sweep_fingerprints_each_cell_once(self, live_service,
+                                                    monkeypatch):
+        """The service keys a sweep's flight on the request alone and
+        the session keys each cell, so a warm sweep fingerprints every
+        cell's block and library once, wherever the functions are
+        imported."""
+        cache_mod = importlib.import_module("repro.mapping.cache")
+        _service, client = live_service
+        payload = {"platforms": ["SA-1110"]}
+        assert client.request_bytes("POST", "/v1/sweep", payload)[0] == 200
+        calls = {"fingerprint_block": [], "fingerprint_library": []}
+        for name, seen in calls.items():
+            real = getattr(cache_mod, name)
+
+            def counted(arg, real=real, seen=seen):
+                seen.append(arg)
+                return real(arg)
+
+            for module in list(sys.modules.values()):
+                if (module is not None and module.__name__.startswith("repro")
+                        and getattr(module, name, None) is real):
+                    monkeypatch.setattr(module, name, counted)
+        status, body = client.request_bytes("POST", "/v1/sweep", payload)
+        assert status == 200
+        cells = len(json.loads(body)["entries"])
+        assert cells == 4  # one platform x the two-library ladder x two blocks
+        assert {name: len(seen) for name, seen in calls.items()} == {
+            "fingerprint_block": cells, "fingerprint_library": cells}
 
 
 class TestSessionWiring:
