@@ -18,7 +18,7 @@ statistics, because each owns its
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.api.catalog import ResourceCatalog
 from repro.api.config import SessionConfig
@@ -40,6 +40,9 @@ from repro.mapping.pareto import BlockParetoResult
 from repro.platform.badge4 import Badge4
 from repro.platform.registry import duplicate_labels
 from repro.symalg.polynomial import Polynomial
+
+if TYPE_CHECKING:
+    from repro.codegen.verify import BlockMeasurement
 
 __all__ = ["MappingSession"]
 
@@ -123,12 +126,12 @@ class MappingSession:
             accuracy_budget = self.config.accuracy_budget
         return checked_tolerance(tolerance), checked_accuracy_budget(accuracy_budget)
 
-    def _match(self, block, library, platform, tolerance, accuracy_budget, workload):
-        """Resolve one block-mapping request and match it through :meth:`batch`.
+    def _request(self, block, library, platform, tolerance, accuracy_budget, workload):
+        """Resolve one block-mapping request.
 
-        Returns ``(request, block, platform, winner, matches)``; the
-        match list is the cache line :meth:`map`, :meth:`pareto` and
-        :meth:`verify` share.
+        Returns ``(request, item)``: the typed request and the batch item
+        it matches through.  The item's key names the cache line
+        :meth:`map`, :meth:`pareto` and :meth:`verify` share.
         """
         tolerance, accuracy_budget = self._knobs(tolerance, accuracy_budget)
         workload_key = self._resolve_workload(workload)
@@ -150,8 +153,14 @@ class MappingSession:
             tolerance=tolerance,
             accuracy_budget=accuracy_budget,
         )
-        winner, matches = self.batch([item]).results[0]
-        return request, block_obj, platform_obj, winner, matches
+        return request, item
+
+    def _stimulus(self, block: TargetBlock, workload: str):
+        """The stimulus this session's workload registry declares for
+        ``block`` (see :func:`repro.codegen.verify.stimulus_for_block`)."""
+        from repro.codegen.verify import stimulus_for_block
+
+        return stimulus_for_block(block, workload, self.config.workloads)
 
     # -- the methodology --------------------------------------------------
     def map(
@@ -173,12 +182,13 @@ class MappingSession:
         registry entry the block name resolves in (default: the
         session's, normally ``"mp3"``).
         """
-        request, _block, platform_obj, winner, matches = self._match(
+        request, item = self._request(
             block, library, platform, tolerance, accuracy_budget, workload
         )
+        winner, matches = self.batch([item]).results[0]
         return MapResult(
             request=request,
-            platform=platform_obj,
+            platform=item.platform,
             winner=winner,
             matches=tuple(matches),
         )
@@ -208,17 +218,19 @@ class MappingSession:
         energy — never cached, never part of the cache key — and the
         default (unmeasured) wire bytes are unchanged.
         """
-        request, block_obj, platform_obj, _winner, matches = self._match(
+        request, item = self._request(
             block, library, platform, tolerance, accuracy_budget, workload
         )
+        _winner, matches = self.batch([item]).results[0]
+        block_obj = item.payload
         measure_fn = None
         if measure:
-            from repro.codegen.verify import match_measurer, stimulus_for_block
+            from repro.codegen.verify import match_measurer
 
-            stimulus = stimulus_for_block(block_obj, request.workload)
+            stimulus = self._stimulus(block_obj, request.workload)
             measure_fn = match_measurer(block_obj, stimulus=stimulus)
         result = BlockParetoResult.from_matches(
-            block_obj.name, platform_obj, matches, measure=measure_fn
+            block_obj.name, item.platform, matches, measure=measure_fn
         )
         return ParetoResult(request=request, result=result)
 
@@ -244,22 +256,35 @@ class MappingSession:
         Returns a typed :class:`~repro.api.VerifyResult` whose
         ``to_json()`` is the service's ``/v1/verify`` wire format.
         """
-        request, block_obj, platform_obj, winner, _matches = self._match(
+        request, item = self._request(
             block, library, platform, tolerance, accuracy_budget, workload
         )
-        measurement = None
-        if winner is not None:
-            from repro.codegen.verify import measure_match, stimulus_for_block
-
-            vectors = (
-                tuple(stimulus)
-                if stimulus is not None
-                else stimulus_for_block(block_obj, request.workload)
-            )
-            measurement = measure_match(block_obj, winner, stimulus=vectors)
+        measurement = self.measure_winner(item, request.workload, stimulus=stimulus)
         return VerifyResult(
-            request=request, platform=platform_obj, measurement=measurement
+            request=request, platform=item.platform, measurement=measurement
         )
+
+    def measure_winner(
+        self, item: BatchItem, workload: str, *, stimulus=None
+    ) -> "BlockMeasurement | None":
+        """Match a block item through :meth:`batch` and measure its
+        winner's generated kernel; ``None`` when no element matches.
+
+        The body of :meth:`verify`, for a caller that already holds the
+        request's item (the service keys its flight on it).  The
+        stimulus defaults to the one ``workload`` declares for the block
+        in this session's workload registry.
+        """
+        winner, _matches = self.batch([item]).results[0]
+        if winner is None:
+            return None
+        from repro.codegen.verify import measure_match
+
+        block = item.payload
+        vectors = (
+            tuple(stimulus) if stimulus is not None else self._stimulus(block, workload)
+        )
+        return measure_match(block, winner, stimulus=vectors)
 
     def decompose(
         self,

@@ -7,8 +7,9 @@ instead of trusting the characterization table.  Four stages:
 * :mod:`repro.codegen.lower` — Horner-scheduled three-address IR;
 * :mod:`repro.codegen.fixedpt` — numeric-format binding + reference
   interpreter on :mod:`repro.fixedpoint` semantics;
-* :mod:`repro.codegen.pysource` — emitted pure-Python fast path,
-  pinned bit-identical to the interpreter;
+* :mod:`repro.codegen.pysource` — the level-batched NumPy plan that
+  runs a whole stimulus per call, and emitted Python source for
+  reading, both pinned bit-identical to the interpreter;
 * :mod:`repro.codegen.verify` — measured RMS / max error / SNR against
   exact float64 references on deterministic workload stimulus.
 """

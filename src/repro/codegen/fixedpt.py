@@ -14,9 +14,11 @@ LoweredKernel` under them:
 * **float32** quantizes every intermediate through a 4-byte struct
   round-trip, modelling single-precision hardware.
 
-The interpreter is deliberately dependency-free (no numpy) so the
-emitted-Python fast path (:mod:`repro.codegen.pysource`) can be pinned
-bit-identical against it.
+The interpreter is the numeric oracle: it computes with one
+:class:`~repro.fixedpoint.Fixed` (or float) per value, one vector per
+call.  The NumPy plan in :mod:`repro.codegen.pysource` reimplements
+the same arithmetic on arrays rather than calling it, and the parity
+suite pins the two bit-identical.
 
 >>> parse_format("q5.26").qformat
 QFormat(int_bits=5, frac_bits=26, overflow='saturate')

@@ -44,6 +44,7 @@ from repro.mapping.match import BlockMatch
 from repro.mp3.compliance import check_compliance
 from repro.workload.registry import (
     DEFAULT_WORKLOAD_REGISTRY,
+    WorkloadRegistry,
     default_stimulus,
 )
 
@@ -94,23 +95,22 @@ class BlockMeasurement:
 
 
 def stimulus_for_block(
-    block: TargetBlock, workload: "str | None" = None
+    block: TargetBlock,
+    workload: "str | None" = None,
+    registry: WorkloadRegistry = DEFAULT_WORKLOAD_REGISTRY,
 ) -> tuple[tuple[float, ...], ...]:
     """Deterministic stimulus for a block.
 
-    With ``workload`` given, the block must be declared there.  Without
-    it, registered workloads are scanned in registration order (the MP3
-    workload first) for a declaration of the block's name; unregistered
-    blocks fall back to the seeded default stimulus.
+    With ``workload`` given, the block's stimulus comes from that
+    ``registry`` entry when the entry declares the block.  Without it,
+    the registry's workloads are scanned in registration order (the MP3
+    workload first) for a declaration of the block's name.  Blocks no
+    workload declares fall back to the seeded default stimulus.
     """
-    if workload is not None:
-        entry = DEFAULT_WORKLOAD_REGISTRY.get(workload)
+    entries = [registry.get(workload)] if workload is not None else registry
+    for entry in entries:
         if block.name in entry.block_names():
             return entry.workload.stimulus(block.name)
-    else:
-        for entry in DEFAULT_WORKLOAD_REGISTRY:
-            if block.name in entry.block_names():
-                return entry.workload.stimulus(block.name)
     n_inputs = len(dict.fromkeys(block.input_variables))
     return default_stimulus(n_inputs, name=block.name)
 
@@ -121,12 +121,13 @@ def _run_vectors(
     output_names: tuple[str, ...],
     stimulus: Sequence[Sequence[float]],
 ) -> np.ndarray:
-    rows = []
-    for vector in stimulus:
-        env = dict(zip(inputs, vector))
-        got = compiled.run(env)
-        rows.append([got[name] for name in output_names])
-    return np.array(rows, dtype=np.float64)
+    """The kernel's outputs on the whole stimulus in one call: one row
+    per vector, one column per name in ``output_names``; each vector's
+    values are named by ``inputs``."""
+    kernel = compiled.kernel
+    columns = [inputs.index(name) for name in kernel.inputs]
+    got = compiled.run_vectors(np.asarray(stimulus, dtype=np.float64)[:, columns])
+    return got[:, [kernel.output_names.index(name) for name in output_names]]
 
 
 def _snr_db(reference: np.ndarray, under_test: np.ndarray) -> float:

@@ -31,7 +31,6 @@ documentation".
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -89,16 +88,9 @@ def _sqrt_polynomial(degree: int = 6) -> Polynomial:
 
 def _linear_rows(matrix: np.ndarray) -> tuple[Polynomial, ...]:
     """Rows of a numeric matrix as linear polynomials over formals."""
-    n_out, n_in = matrix.shape
-    formals = formal_inputs(n_in)
-    rows = []
-    for i in range(n_out):
-        terms = {}
-        for k in range(n_in):
-            exps = tuple(1 if j == k else 0 for j in range(n_in))
-            terms[exps] = Fraction(float(matrix[i, k]))
-        rows.append(Polynomial(formals, terms))
-    return tuple(rows)
+    formals = formal_inputs(matrix.shape[1])
+    return tuple(Polynomial.linear(dict(zip(formals, row)))
+                 for row in matrix.tolist())
 
 
 #: Equation 1 rows for n=36 (the IMDCT polynomial representation).

@@ -506,8 +506,8 @@ class MappingService:
     def _map_item(self, request: MapRequest) -> BatchItem:
         """The batch item of one map, pareto or verify request: the
         item (and so the cache key) a direct ``MappingSession.map``
-        call builds; its ``key`` is what single-flight digests.  Map
-        and pareto submit it; verify only digests it."""
+        call builds; its ``key`` is what single-flight digests, and
+        the item is what the request submits."""
         return BatchItem.for_block(
             self.catalog.block(request.block, request.workload),
             self.catalog.library(request.library),
@@ -543,23 +543,20 @@ class MappingService:
         else:
             measurement = await self.flight.run(
                 digest,
-                lambda: self._offload(self._verify_work, request))
+                lambda: self._offload(self._verify_work, item,
+                                      request.workload))
             if len(self._verify_cache) >= 1024:
                 self._verify_cache.pop(next(iter(self._verify_cache)))
             self._verify_cache[digest] = measurement
         return VerifyResult(request=request, platform=item.platform,
                             measurement=measurement).to_payload()
 
-    def _verify_work(self, request: MapRequest):
+    def _verify_work(self, item: BatchItem, workload: str):
         inject("service.dispatch")
-        # Name arguments from the validated request, so the session
-        # resolves exactly like a CLI `repro verify` call and the two
-        # surfaces stay byte-comparable.
-        return self.session.verify(
-            request.block, request.library, request.platform,
-            tolerance=request.tolerance,
-            accuracy_budget=request.accuracy_budget,
-            workload=request.workload).measurement
+        # The body of session.verify on the item this request already
+        # built: the same match and measurement a CLI `repro verify`
+        # call makes, so the two surfaces stay byte-comparable.
+        return self.session.measure_winner(item, workload)
 
     async def _post_sweep(self, payload) -> dict:
         request = SweepRequest.from_payload(payload)

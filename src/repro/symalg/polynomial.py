@@ -240,6 +240,29 @@ class Polynomial:
         return cls._from_codes((name,), {1: 1})
 
     @classmethod
+    def linear(cls, coefficients: Mapping[str, Scalar]) -> "Polynomial":
+        """The linear form ``sum(c * name)`` over ``{name: c}``.
+
+        Each term is one packed code, as in :meth:`variable`, so a form
+        costs its nonzero coefficients, not one exponent entry per
+        variable per term.
+
+        >>> Polynomial.linear({"y": 0.5, "x": 2, "z": 0})
+        Polynomial('2*x + 1/2*y')
+        """
+        nonzero = {}
+        for name, value in coefficients.items():
+            coeff = _to_coeff(value)
+            if coeff != 0:
+                nonzero[name] = coeff
+        names = tuple(sorted(nonzero))
+        top = len(names) - 1
+        shift = {name: SHIFT * (top - i) for i, name in enumerate(names)}
+        # Terms keep the mapping's order, as the general constructor's do.
+        return cls._from_codes(
+            names, {1 << shift[name]: coeff for name, coeff in nonzero.items()})
+
+    @classmethod
     def monomial(cls, powers: Mapping[str, int], coefficient: Scalar = 1) -> "Polynomial":
         """A single term, e.g. ``monomial({'x': 2, 'y': 1}, 3)`` is ``3*x^2*y``."""
         names = tuple(powers)

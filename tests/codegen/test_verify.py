@@ -127,8 +127,8 @@ class TestMeasureMatch:
             (reference.max_error, reference.snr_db)
 
     def test_match_measurer_builds_one_reference_kernel(self, monkeypatch):
-        """A measured front lowers and compiles the block's reference
-        once, plus one generated kernel per match, and grades each point
+        """A measured front lowers and plans the block's reference once,
+        plus one generated kernel per match, and grades each point
         exactly as ``measure_match`` does."""
         import repro.codegen.verify as verify
         from repro.api import MappingSession, SessionConfig
@@ -156,6 +156,26 @@ class TestMeasureMatch:
             m = measure_match(block, point.match, stimulus=stimulus)
             assert (point.objectives.measured_accuracy,
                     point.objectives.snr_db) == (m.max_error, m.snr_db)
+
+    def test_measure_match_compiles_and_execs_nothing(self, monkeypatch):
+        """Generated kernels run as NumPy plans: measuring one calls
+        neither the builtins ``compile`` nor ``exec``."""
+        import builtins
+
+        block, winner, _ = _mapped("SubBandSynthesis")
+        stimulus = stimulus_for_block(block)
+        expected = measure_match(block, winner, stimulus=stimulus)
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("source compiled while measuring")
+
+        # The context restores both before any failure reaches pytest,
+        # whose reporting compiles source itself.
+        with monkeypatch.context() as patched:
+            patched.setattr(builtins, "compile", refuse)
+            patched.setattr(builtins, "exec", refuse)
+            got = measure_match(block, winner, stimulus=stimulus)
+        assert got == expected
 
     def test_explicit_stimulus_changes_the_measurement(self):
         block, winner, _ = _mapped()
@@ -191,6 +211,28 @@ class TestVerifyResult:
         assert result.measurement is None
         payload = json.loads(result.to_json())
         assert payload["element"] is None
+
+    def test_session_workload_registry_chooses_the_stimulus(self):
+        """A workload a session registers under its own key measures
+        exactly what the same workload measures under its default key,
+        for ``verify`` and for a measured front."""
+        from repro.api import MappingSession, SessionConfig
+        from repro.workload import DspKernelsWorkload, WorkloadRegistry
+
+        registry = WorkloadRegistry()
+        registry.register(DspKernelsWorkload(), key="mydsp")
+        mine = MappingSession(SessionConfig(workloads=registry,
+                                            workload="mydsp"))
+        default = MappingSession(SessionConfig())
+        verified = mine.verify("fir16", workload="mydsp")
+        assert verified.measurement.element == "ippsFIR_16tap_32s"
+        assert verified.measurement == \
+            default.verify("fir16", workload="dsp").measurement
+        fronts = [
+            session.pareto("fir16", workload=key, measure=True).front
+            for session, key in ((mine, "mydsp"), (default, "dsp"))]
+        assert [point.objectives for point in fronts[0]] == \
+            [point.objectives for point in fronts[1]]
 
     def test_verify_bytes_are_canonical_ascii(self):
         from repro.api import MappingSession

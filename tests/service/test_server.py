@@ -211,6 +211,41 @@ class TestRoundTrips:
         assert {name: len(seen) for name, seen in calls.items()} == {
             "fingerprint_block": cells, "fingerprint_library": cells}
 
+    def test_verify_fingerprints_its_library_once(self, mp3_blocks,
+                                                  monkeypatch):
+        """/v1/verify measures the batch item it keyed its flight on, so
+        a cold request fingerprints the library once, as a warm one
+        (served from the verify cache) does; both answer the bytes a
+        direct ``session.verify`` renders."""
+        cache_mod = importlib.import_module("repro.mapping.cache")
+        real = cache_mod.fingerprint_library
+        calls = []
+
+        def counted(library):
+            calls.append(library)
+            return real(library)
+
+        for module in list(sys.modules.values()):
+            if (module is not None and module.__name__.startswith("repro")
+                    and getattr(module, "fingerprint_library", None) is real):
+                monkeypatch.setattr(module, "fingerprint_library", counted)
+        payload = {"block": "inv_mdctL", "library": ["LM", "IH"]}
+        session = MappingSession(SessionConfig(), blocks=mp3_blocks)
+        counts, bodies = [], []
+        with ServiceThread(MappingService(port=0, session=session)) as thread:
+            client = ServiceClient(thread.base_url)
+            client.wait_healthy()
+            for _cold_then_warm in range(2):
+                calls.clear()
+                status, body = client.request_bytes("POST", "/v1/verify",
+                                                    payload)
+                assert status == 200
+                counts.append(len(calls))
+                bodies.append(body)
+        assert counts == [1, 1]
+        direct = MappingSession(SessionConfig(), blocks=mp3_blocks)
+        assert bodies == [direct.verify("inv_mdctL", ("LM", "IH")).to_json()] * 2
+
 
 class TestSessionWiring:
     def test_platforms_render_from_the_session(self):
